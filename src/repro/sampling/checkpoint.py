@@ -45,7 +45,7 @@ old artifacts into plain cache misses.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from ..cache.keys import content_key, stable_repr
 from ..cache.shared import (
@@ -116,6 +116,13 @@ def frontier_key(config: SimulationConfig) -> str:
     ))
 
 
+#: Offset-indexed checkpoint tiers and the key each is stored under.
+#: A tier's checkpoints persist as artifact kind ``<tier>`` under
+#: ``content_key("<tier>-checkpoint", *key, offset)``, its offsets as
+#: kind ``<tier>-index`` under ``content_key("<tier>-index", *key)``.
+_TIER_KEYS = {"positioned": position_key, "frontier": frontier_key}
+
+
 class CheckpointStore:
     """Cache of warm checkpoints, selections and profiles.
 
@@ -132,22 +139,21 @@ class CheckpointStore:
         self, artifacts: Union[ArtifactStore, None, object] = _DEFAULT
     ) -> None:
         self._artifacts = artifacts
-        self._checkpoints: Dict[Tuple, SimulatorCheckpoint] = {}
+        #: Warm checkpoints; ``None`` marks a pair whose jump base was
+        #: requested once but not built (see :meth:`jump_base_checkpoint`).
+        self._checkpoints: Dict[Tuple, Optional[SimulatorCheckpoint]] = {}
         self._selections: Dict[Tuple, IntervalSelection] = {}
         self._profiles: Dict[Tuple, FunctionalProfile] = {}
         self._bbv_profiles: Dict[Tuple, BBVProfile] = {}
-        self._requested: set = set()
-        #: Positioned (post-skip) checkpoints: {(position key, workload
-        #: name, seed): {instruction offset: checkpoint}}.
-        self._positioned: Dict[Tuple, Dict[int, SimulatorCheckpoint]] = {}
-        #: Reuse counters for positioned checkpoints (tests and the
-        #: acceptance criteria assert prefix reuse on these).
+        #: Offset-indexed checkpoints: {tier: {(tier key, workload name,
+        #: seed): {instruction offset: checkpoint}}}.
+        self._tiers: Dict[str, Dict[Tuple, Dict[int, SimulatorCheckpoint]]] \
+            = {tier: {} for tier in _TIER_KEYS}
+        #: Reuse counters (tests and the acceptance criteria assert
+        #: prefix reuse on these).
         self.positioned_hits = 0
         self.positioned_misses = 0
         self.positioned_publishes = 0
-        #: Frontier (end-of-completed-run) checkpoints: {(frontier key,
-        #: workload name, seed): {committed instructions: checkpoint}}.
-        self._frontier: Dict[Tuple, Dict[int, SimulatorCheckpoint]] = {}
         self.frontier_hits = 0
         self.frontier_misses = 0
         self.frontier_publishes = 0
@@ -158,7 +164,42 @@ class CheckpointStore:
             return active_store()
         return self._artifacts
 
+    def _load(
+        self, disk: ArtifactStore, kind: str, disk_key: str,
+        workload: Workload,
+    ) -> Optional[SimulatorCheckpoint]:
+        """The persisted checkpoint under ``disk_key``, or ``None``."""
+        # Digest-verified by the store: a corrupted checkpoint reads as
+        # a miss, never as "successful" wrong machine state.
+        data = disk.get_bytes(kind, disk_key)
+        if data is None:
+            return None
+        try:
+            return SimulatorCheckpoint(loads_with_workload(data, workload))
+        except SharedObjectUnavailable:
+            # References a compiled trace this process lacks: still
+            # usable by other processes, so leave it on disk.
+            return None
+        except Exception:
+            disk.stats.corrupt += 1
+            disk.discard(kind, disk_key)
+            return None
+
     # -- warm simulator state ------------------------------------------
+    def _cached_warm(
+        self, key: Tuple, workload: Workload
+    ) -> Optional[SimulatorCheckpoint]:
+        """The warm checkpoint from memory or the artifact store."""
+        checkpoint = self._checkpoints.get(key)
+        disk = self.artifact_store()
+        if checkpoint is None and disk is not None:
+            checkpoint = self._load(disk, "checkpoint",
+                                    content_key("warm-checkpoint", *key),
+                                    workload)
+            if checkpoint is not None:
+                self._checkpoints[key] = checkpoint
+        return checkpoint
+
     def warm_checkpoint(
         self, config: SimulationConfig, workload: Workload
     ) -> SimulatorCheckpoint:
@@ -169,10 +210,7 @@ class CheckpointStore:
         state bit-identical to a fresh ``Simulator`` + ``warm_up()``.
         """
         key = (_config_key(config), workload.name, workload.profile.seed)
-        checkpoint = self._checkpoints.get(key)
-        if checkpoint is not None:
-            return checkpoint
-        checkpoint = self._load_persisted_checkpoint(key, workload)
+        checkpoint = self._cached_warm(key, workload)
         if checkpoint is not None:
             return checkpoint
         simulator = Simulator(config, workload)
@@ -181,103 +219,115 @@ class CheckpointStore:
         self._checkpoints[key] = checkpoint
         disk = self.artifact_store()
         if disk is not None:
-            # The store digest-frames every payload (schema v4), so a
-            # rotted checkpoint is rejected on read instead of replaying
-            # wrong simulator state.
             disk.put_bytes(
                 "checkpoint", content_key("warm-checkpoint", *key),
                 dumps_with_workload(checkpoint._state, workload),
             )
         return checkpoint
 
-    def _load_persisted_checkpoint(
-        self, key: Tuple, workload: Workload
-    ) -> Optional[SimulatorCheckpoint]:
-        """The persisted warm checkpoint for ``key``, or ``None``."""
-        disk = self.artifact_store()
-        if disk is None:
-            return None
-        disk_key = content_key("warm-checkpoint", *key)
-        # A digest mismatch (payload rotted after writing, or tampering)
-        # surfaces as a miss here: the store verifies the frame on read.
-        data = disk.get_bytes("checkpoint", disk_key)
-        if data is None:
-            return None
-        try:
-            state = loads_with_workload(data, workload)
-        except SharedObjectUnavailable:
-            # References a compiled trace this process lacks: still
-            # usable by other processes, so leave it on disk.
-            return None
-        except Exception:
-            disk.stats.corrupt += 1
-            disk.discard("checkpoint", disk_key)
-            return None
-        checkpoint = SimulatorCheckpoint(state)
-        self._checkpoints[key] = checkpoint
-        return checkpoint
-
-    def peek_warm_checkpoint(
-        self, config: SimulationConfig, workload: Workload
-    ) -> Optional[SimulatorCheckpoint]:
-        """The cached warm checkpoint, or ``None`` without building one.
-
-        A one-shot sweep visits each (configuration, benchmark) once, so
-        eagerly snapshotting warm state it will never restore again is
-        pure overhead; the sampled runner peeks and falls back to a fresh
-        ``Simulator`` + ``warm_up()`` (functionally identical state) when
-        nothing is cached.
-        """
-        key = (_config_key(config), workload.name, workload.profile.seed)
-        return self._checkpoints.get(key)
-
-    def warm_checkpoint_if_revisited(
-        self, config: SimulationConfig, workload: Workload
-    ) -> Optional[SimulatorCheckpoint]:
-        """Build-and-cache the warm checkpoint on the *second* request.
-
-        First request for a (configuration, benchmark): return ``None``
-        (a one-shot sweep never comes back, so snapshotting would be
-        wasted) but remember the key.  Any later request builds -- or
-        returns -- the cached checkpoint, so repeated sampled runs of the
-        same configuration (bench comparisons, interactive exploration)
-        restore one shared warm-up instead of re-warming per jump.
-        This tier is memory-only; the persistence-aware entry point is
-        :meth:`jump_base_checkpoint`.
-        """
-        key = (_config_key(config), workload.name, workload.profile.seed)
-        checkpoint = self._checkpoints.get(key)
-        if checkpoint is not None:
-            return checkpoint
-        if key in self._requested:
-            return self.warm_checkpoint(config, workload)
-        self._requested.add(key)
-        return None
-
     def jump_base_checkpoint(
         self, config: SimulationConfig, workload: Workload
     ) -> Optional[SimulatorCheckpoint]:
         """Warm state a sampled run jumps from.
 
-        A checkpoint persisted by any earlier invocation is restored
-        directly (no warm-up, no redone skips).  Nothing on disk keeps
-        the lazy second-request heuristic: a one-shot sweep -- whose
-        per-interval measurements are persisted separately and replayed
-        wholesale on later invocations -- never pays for snapshotting
-        and pickling state nothing will restore, while a pair that *is*
-        revisited builds its checkpoint once and publishes it through
-        :meth:`warm_checkpoint` for every later process.
+        A checkpoint cached in memory or persisted by any earlier
+        invocation is restored directly (no warm-up, no redone skips).
+        Otherwise the first request for a (configuration, benchmark)
+        returns ``None``: a one-shot sweep -- whose per-interval
+        measurements are persisted separately and replayed wholesale on
+        later invocations -- never pays for snapshotting and pickling
+        state nothing will restore.  Any later request builds the
+        checkpoint once and publishes it through :meth:`warm_checkpoint`,
+        so repeated sampled runs restore one shared warm-up.
         """
         key = (_config_key(config), workload.name, workload.profile.seed)
-        checkpoint = self._checkpoints.get(key)
+        checkpoint = self._cached_warm(key, workload)
         if checkpoint is not None:
             return checkpoint
-        checkpoint = self._load_persisted_checkpoint(key, workload)
-        if checkpoint is not None:
-            return checkpoint
-        return self.warm_checkpoint_if_revisited(config, workload)
+        if key in self._checkpoints:
+            return self.warm_checkpoint(config, workload)
+        self._checkpoints[key] = None
+        return None
 
-    # -- positioned (post-skip) checkpoints ----------------------------
+    # -- offset-indexed (positioned and frontier) checkpoints ----------
+    def _tier_key(
+        self, tier: str, config: SimulationConfig, workload: Workload
+    ) -> Tuple:
+        return (_TIER_KEYS[tier](config), workload.name,
+                workload.profile.seed)
+
+    def _count(self, tier: str, event: str) -> None:
+        name = f"{tier}_{event}"
+        setattr(self, name, getattr(self, name) + 1)
+
+    @staticmethod
+    def _disk_offsets(disk: ArtifactStore, tier: str, key: Tuple) -> set:
+        """Offsets listed in the tier's persisted index for ``key``."""
+        index = disk.get(f"{tier}-index", content_key(f"{tier}-index", *key))
+        if not isinstance(index, (list, tuple)):
+            return set()
+        return {offset for offset in index if isinstance(offset, int)}
+
+    def _deepest(
+        self, tier: str, config: SimulationConfig, workload: Workload,
+        usable: Callable[[int], bool],
+    ) -> Optional[Tuple[int, SimulatorCheckpoint]]:
+        """The tier's deepest checkpoint whose offset is ``usable``:
+        memory first, then the artifact store (offsets enumerated through
+        a small per-(config, workload) index artifact)."""
+        key = self._tier_key(tier, config, workload)
+        memo = self._tiers[tier].setdefault(key, {})
+        candidates = set(memo)
+        disk = self.artifact_store()
+        if disk is not None:
+            candidates |= self._disk_offsets(disk, tier, key)
+        for offset in sorted(filter(usable, candidates), reverse=True):
+            checkpoint = memo.get(offset)
+            if checkpoint is None and disk is not None:
+                checkpoint = self._load(
+                    disk, tier,
+                    content_key(f"{tier}-checkpoint", *key, offset),
+                    workload)
+                if checkpoint is not None:
+                    memo[offset] = checkpoint
+            if checkpoint is not None:
+                self._count(tier, "hits")
+                return offset, checkpoint
+        self._count(tier, "misses")
+        return None
+
+    def _publish(
+        self, tier: str, config: SimulationConfig, workload: Workload,
+        offset: int, checkpoint: SimulatorCheckpoint,
+    ) -> None:
+        """Record a checkpoint at ``offset`` (memory tier always;
+        artifact store when one is active).
+
+        The per-(config, workload) offset index is read-merge-written;
+        concurrent publishers may lose an index entry to a race, which
+        costs a future reuse, never correctness.
+        """
+        if offset <= 0:
+            return
+        key = self._tier_key(tier, config, workload)
+        self._tiers[tier].setdefault(key, {})[offset] = checkpoint
+        self._count(tier, "publishes")
+        disk = self.artifact_store()
+        if disk is None:
+            return
+        disk_key = content_key(f"{tier}-checkpoint", *key, offset)
+        if disk.path_for(tier, disk_key).exists():
+            # Already persisted *to this store* (memo presence alone
+            # proves nothing: the entry may have been published while
+            # caching was disabled or routed at a different root);
+            # republishing identical bytes would only burn time.
+            return
+        disk.put_bytes(tier, disk_key,
+                       dumps_with_workload(checkpoint._state, workload))
+        offsets = self._disk_offsets(disk, tier, key) | {offset}
+        disk.put(f"{tier}-index", content_key(f"{tier}-index", *key),
+                 sorted(offsets))
+
     def positioned_checkpoint(
         self,
         config: SimulationConfig,
@@ -297,56 +347,9 @@ class CheckpointStore:
         so restoring it and skipping the remaining delta is bit-identical
         to skipping the whole prefix from the warm checkpoint, whatever
         budget or interval selection produced the persisted offset.
-        Memory tier first, then the artifact store (offsets are
-        enumerated through a small per-(config, workload) index
-        artifact).
         """
-        key = (position_key(config), workload.name, workload.profile.seed)
-        memo = self._positioned.get(key, {})
-        candidates = {off for off in memo if min_offset < off <= max_offset}
-        disk = self.artifact_store()
-        if disk is not None:
-            index = disk.get("positioned-index",
-                             content_key("positioned-index", *key))
-            if isinstance(index, (list, tuple)):
-                candidates.update(
-                    off for off in index
-                    if isinstance(off, int) and min_offset < off <= max_offset
-                )
-        for offset in sorted(candidates, reverse=True):
-            checkpoint = memo.get(offset)
-            if checkpoint is None and disk is not None:
-                checkpoint = self._load_positioned(disk, key, offset,
-                                                   workload)
-            if checkpoint is not None:
-                self.positioned_hits += 1
-                return offset, checkpoint
-        self.positioned_misses += 1
-        return None
-
-    def _load_positioned(
-        self, disk: ArtifactStore, key: Tuple, offset: int,
-        workload: Workload,
-    ) -> Optional[SimulatorCheckpoint]:
-        disk_key = content_key("positioned-checkpoint", *key, offset)
-        # Digest-verified by the store: a corrupted checkpoint reads as
-        # a miss, never as "successful" wrong machine state.
-        data = disk.get_bytes("positioned", disk_key)
-        if data is None:
-            return None
-        try:
-            state = loads_with_workload(data, workload)
-        except SharedObjectUnavailable:
-            # References a compiled trace this process lacks: still
-            # usable by other processes, so leave it on disk.
-            return None
-        except Exception:
-            disk.stats.corrupt += 1
-            disk.discard("positioned", disk_key)
-            return None
-        checkpoint = SimulatorCheckpoint(state)
-        self._positioned.setdefault(key, {})[offset] = checkpoint
-        return checkpoint
+        return self._deepest("positioned", config, workload,
+                             lambda off: min_offset < off <= max_offset)
 
     def publish_positioned(
         self,
@@ -356,38 +359,9 @@ class CheckpointStore:
         checkpoint: SimulatorCheckpoint,
     ) -> None:
         """Record a post-``skip_to(offset)`` snapshot for later prefix
-        reuse (memory tier always; artifact store when one is active).
+        reuse."""
+        self._publish("positioned", config, workload, offset, checkpoint)
 
-        The per-(config, workload) offset index is read-merge-written;
-        concurrent publishers may lose an index entry to a race, which
-        costs a future prefix reuse, never correctness.
-        """
-        if offset <= 0:
-            return
-        key = (position_key(config), workload.name, workload.profile.seed)
-        self._positioned.setdefault(key, {})[offset] = checkpoint
-        self.positioned_publishes += 1
-        disk = self.artifact_store()
-        if disk is None:
-            return
-        disk_key = content_key("positioned-checkpoint", *key, offset)
-        if disk.path_for("positioned", disk_key).exists():
-            # Already persisted *to this store* (memo presence alone
-            # proves nothing: the entry may have been published while
-            # caching was disabled or routed at a different root);
-            # republishing identical bytes would only burn time.
-            return
-        disk.put_bytes(
-            "positioned", disk_key,
-            dumps_with_workload(checkpoint._state, workload),
-        )
-        index_key = content_key("positioned-index", *key)
-        index = disk.get("positioned-index", index_key)
-        offsets = set(index) if isinstance(index, (list, tuple)) else set()
-        offsets.add(offset)
-        disk.put("positioned-index", index_key, sorted(offsets))
-
-    # -- frontier (end-of-completed-run) checkpoints -------------------
     def frontier_checkpoint(
         self,
         config: SimulationConfig,
@@ -409,28 +383,8 @@ class CheckpointStore:
         own restored end state would turn ``--no-result-cache`` into a
         silent replay).
         """
-        key = (frontier_key(config), workload.name, workload.profile.seed)
-        memo = self._frontier.get(key, {})
-        candidates = {off for off in memo if 0 < off < max_offset}
-        disk = self.artifact_store()
-        if disk is not None:
-            index = disk.get("frontier-index",
-                             content_key("frontier-index", *key))
-            if isinstance(index, (list, tuple)):
-                candidates.update(
-                    off for off in index
-                    if isinstance(off, int) and 0 < off < max_offset
-                )
-        for offset in sorted(candidates, reverse=True):
-            checkpoint = memo.get(offset)
-            if checkpoint is None and disk is not None:
-                checkpoint = self._load_frontier(disk, key, offset,
-                                                 workload)
-            if checkpoint is not None:
-                self.frontier_hits += 1
-                return offset, checkpoint
-        self.frontier_misses += 1
-        return None
+        return self._deepest("frontier", config, workload,
+                             lambda off: 0 < off < max_offset)
 
     def has_frontier(
         self, config: SimulationConfig, workload: Workload, offset: int
@@ -442,38 +396,12 @@ class CheckpointStore:
         otherwise pay the snapshot-and-pickle cost every time for a
         checkpoint that is already published.
         """
-        key = (frontier_key(config), workload.name, workload.profile.seed)
-        if offset in self._frontier.get(key, {}):
+        key = self._tier_key("frontier", config, workload)
+        if offset in self._tiers["frontier"].get(key, {}):
             return True
         disk = self.artifact_store()
-        if disk is None:
-            return False
-        index = disk.get("frontier-index", content_key("frontier-index", *key))
-        return isinstance(index, (list, tuple)) and offset in index
-
-    def _load_frontier(
-        self, disk: ArtifactStore, key: Tuple, offset: int,
-        workload: Workload,
-    ) -> Optional[SimulatorCheckpoint]:
-        disk_key = content_key("frontier-checkpoint", *key, offset)
-        # Digest-verified by the store: a corrupted checkpoint reads as
-        # a miss, never as resumable wrong machine state.
-        data = disk.get_bytes("frontier", disk_key)
-        if data is None:
-            return None
-        try:
-            state = loads_with_workload(data, workload)
-        except SharedObjectUnavailable:
-            # References a compiled trace this process lacks: still
-            # usable by other processes, so leave it on disk.
-            return None
-        except Exception:
-            disk.stats.corrupt += 1
-            disk.discard("frontier", disk_key)
-            return None
-        checkpoint = SimulatorCheckpoint(state)
-        self._frontier.setdefault(key, {})[offset] = checkpoint
-        return checkpoint
+        return disk is not None \
+            and offset in self._disk_offsets(disk, "frontier", key)
 
     def publish_frontier(
         self,
@@ -483,32 +411,8 @@ class CheckpointStore:
         checkpoint: SimulatorCheckpoint,
     ) -> None:
         """Record an end-of-run snapshot at ``offset`` committed
-        instructions for later budget-increase fast-forwarding.
-
-        Same read-merge-write index discipline as
-        :meth:`publish_positioned`: a concurrent-publisher race can lose
-        an index entry (costing a future reuse), never correctness.
-        """
-        if offset <= 0:
-            return
-        key = (frontier_key(config), workload.name, workload.profile.seed)
-        self._frontier.setdefault(key, {})[offset] = checkpoint
-        self.frontier_publishes += 1
-        disk = self.artifact_store()
-        if disk is None:
-            return
-        disk_key = content_key("frontier-checkpoint", *key, offset)
-        if disk.path_for("frontier", disk_key).exists():
-            return
-        disk.put_bytes(
-            "frontier", disk_key,
-            dumps_with_workload(checkpoint._state, workload),
-        )
-        index_key = content_key("frontier-index", *key)
-        index = disk.get("frontier-index", index_key)
-        offsets = set(index) if isinstance(index, (list, tuple)) else set()
-        offsets.add(offset)
-        disk.put("frontier-index", index_key, sorted(offsets))
+        instructions for later budget-increase fast-forwarding."""
+        self._publish("frontier", config, workload, offset, checkpoint)
 
     # -- the memory-then-disk tier for plain-pickle artifacts ----------
     def _cached(self, memo: Dict, kind: str, key: Tuple,
@@ -606,25 +510,15 @@ class CheckpointStore:
         )
 
     def clear(self) -> None:
-        self._checkpoints.clear()
-        self._selections.clear()
-        self._profiles.clear()
-        self._bbv_profiles.clear()
-        self._requested.clear()
-        self._positioned.clear()
-        self.positioned_hits = 0
-        self.positioned_misses = 0
-        self.positioned_publishes = 0
-        self._frontier.clear()
-        self.frontier_hits = 0
-        self.frontier_misses = 0
-        self.frontier_publishes = 0
+        """Drop every cached entry and zero the reuse counters."""
+        self.__init__(self._artifacts)
 
     def __len__(self) -> int:
-        return (len(self._checkpoints) + len(self._selections)
-                + len(self._profiles) + len(self._bbv_profiles)
-                + sum(len(v) for v in self._positioned.values())
-                + sum(len(v) for v in self._frontier.values()))
+        return (sum(c is not None for c in self._checkpoints.values())
+                + len(self._selections) + len(self._profiles)
+                + len(self._bbv_profiles)
+                + sum(len(memo) for tier in self._tiers.values()
+                      for memo in tier.values()))
 
 
 #: Default per-process store used by sampled executions.

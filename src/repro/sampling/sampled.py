@@ -37,7 +37,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from ..cache.keys import content_key, stable_repr
 from ..cache.traces import ensure_compiled_trace
 from ..simulator.config import SimulationConfig
-from ..simulator.simulator import Simulator
+from ..simulator.simulator import Simulator, SimulatorCheckpoint
 from ..simulator.stats import SimulationResult, result_delta, weighted_aggregate
 from ..workloads.trace import Workload
 from .bbv import DEFAULT_PROJECTION_DIM
@@ -142,6 +142,12 @@ def get_selection(
     )
 
 
+#: A walk's jump base: ``(instruction offset, checkpoint)``, where the
+#: checkpoint is ``warm_up()`` plus ``skip_to(offset)`` (``None``: no
+#: state held yet, offset 0).
+Cursor = Tuple[int, Optional[SimulatorCheckpoint]]
+
+
 def _measure_intervals(
     config: SimulationConfig,
     workload: Workload,
@@ -151,116 +157,32 @@ def _measure_intervals(
 ):
     """Simulate the selected intervals; returns (interval results, weights).
 
-    Adjacent intervals continue one timed stretch; distant ones are
-    reached by restoring the warm jump base and functionally skipping.
+    The serial walk is the parallel path's segments run in order: each
+    :func:`_measure_segment` call hands the next one the checkpoint
+    cursor it left, so a jump only skips the delta past the previous
+    jump instead of the whole prefix.
     """
-    simulator = Simulator(config, workload)
-    cursor = None        # jump base: a checkpoint at the furthest warm point
-    cursor_offset = 0    # instruction offset of `cursor` (0 = warm state)
+    segments = _segments(selection.intervals)
+    cursor: Cursor = (0, None)
     interval_results: List[SimulationResult] = []
-    weights: List[float] = []
-    position: Optional[int] = None   # correct-path offset simulated so far
-    segment_after: Optional[SimulationResult] = None
-    segment_target = 0               # cumulative run target in this segment
-    intervals = selection.intervals              # sorted by start
-    # A "jump" is any interval that does not continue the previous timed
-    # segment; checkpoints are only worth taking when another jump will
-    # come back for them.
-    jump_flags = [
-        i == 0 and interval.start_instruction != 0
-        or i > 0 and interval.start_instruction
-        != intervals[i - 1].start_instruction + intervals[i - 1].length
-        for i, interval in enumerate(intervals)
-    ]
-    for i, interval in enumerate(intervals):
-        if position is not None and interval.start_instruction == position:
-            # Adjacent to the previous measured interval: keep the timed
-            # run going -- no checkpoint restore, no discarded warm-up,
-            # and the machine state is the exact full-run state.
-            before = segment_after
-            segment_target += interval.length
-            after = simulator.run(segment_target)
-        elif position is None and interval.start_instruction == 0:
-            # First interval at the very beginning (always true for
-            # stratified selections: interval 0 represents itself):
-            # plain warm-up, exactly like a full run starts.
-            simulator.warm_up()
-            before = None
-            segment_target = interval.length
-            after = simulator.run(segment_target)
-        else:
-            # Jump: reset to the deepest warm state at or before the
-            # target, functionally fast-forward the remaining prefix,
-            # and refill the pipeline with a timed-but-discarded warm
-            # stretch.
-            warm_len = min(spec.detail_warmup, interval.start_instruction)
-            skip_target = interval.start_instruction - warm_len
-            # Prefer the deepest usable prefix: a positioned checkpoint
-            # published by an earlier run (possibly under a different
-            # budget or interval selection) beats re-skipping from this
-            # run's own cursor -- and on the first jump, from the warm
-            # checkpoint -- whenever its offset is strictly deeper.
-            # Skips are split-invariant, so every path lands in the same
-            # state.
-            positioned = None
-            if cursor is None or cursor_offset < skip_target:
-                positioned = store.positioned_checkpoint(
-                    config, workload, skip_target, min_offset=cursor_offset)
-            if positioned is not None:
-                cursor_offset, cursor = positioned
-                simulator.restore(cursor)
-            elif cursor is not None:
-                simulator.restore(cursor)
-            else:
-                cursor = store.jump_base_checkpoint(config, workload)
-                if cursor is not None:
-                    simulator.restore(cursor)
-                elif position is None:
-                    # Nothing measured yet: the simulator is pristine.
-                    simulator.warm_up()
-                else:
-                    # Nothing cached: a fresh warmed simulator is the
-                    # same state, minus the cost of snapshotting state
-                    # this one-shot run would never restore again.
-                    simulator = Simulator(config, workload)
-                    simulator.warm_up()
-            simulator.skip_to(skip_target)
-            if any(jump_flags[i + 1:]) or store.artifact_store() is not None:
-                # Checkpoint ahead of the interval: the next jump of this
-                # run restores here and only skips the delta, and -- when
-                # the artifact store is live -- any later run whose skip
-                # targets land at or beyond this offset resumes from it
-                # instead of from offset 0 (skips are split-invariant, so
-                # the continuation is bit-identical either way).  A cursor
-                # already sitting exactly at the target (a positioned hit
-                # at this very offset) IS that state: re-snapshotting it
-                # would deep-copy the whole machine for nothing, so only
-                # the (presence-checked, usually no-op) publish runs.
-                if cursor is None or cursor_offset != skip_target:
-                    cursor = simulator.snapshot()
-                    cursor_offset = skip_target
-                store.publish_positioned(config, workload, skip_target,
-                                         cursor)
-            before = simulator.run(warm_len) if warm_len else None
-            segment_target = warm_len + interval.length
-            after = simulator.run(segment_target)
-        interval_results.append(result_delta(after, before))
-        weights.append(interval.weight)
-        segment_after = after
-        position = interval.start_instruction + interval.length
-    return interval_results, weights
+    for n, indices in enumerate(segments):
+        results, cursor = _measure_segment(
+            config, workload, selection, spec, indices, store, cursor,
+            keep_cursor=n + 1 < len(segments))
+        interval_results.extend(results)
+    return interval_results, [interval.weight
+                              for interval in selection.intervals]
 
 
 def _segments(intervals) -> List[Tuple[int, ...]]:
     """Partition a sorted interval selection into maximal contiguous runs.
 
-    Two intervals belong to the same segment exactly when the serial walk
-    in :func:`_measure_intervals` would take its *adjacent* branch for the
-    second one (``start == previous start + previous length``): within a
-    segment one timed stretch covers every interval, across segments the
-    walk restores a checkpoint and functionally skips.  Segments are
-    therefore the independent units of a sampled run -- each element is a
-    tuple of indices into ``intervals``.
+    Two intervals belong to the same segment exactly when the second
+    starts where the first ends (``start == previous start + previous
+    length``): within a segment one timed stretch covers every interval,
+    across segments the walk restores a checkpoint and functionally
+    skips.  Segments are therefore the independent units of a sampled
+    run -- each element is a tuple of indices into ``intervals``.
     """
     segments: List[Tuple[int, ...]] = []
     current = [0]
@@ -280,54 +202,68 @@ def _segments(intervals) -> List[Tuple[int, ...]]:
 def _measure_segment(
     config: SimulationConfig,
     workload: Workload,
-    selection,
+    selection: IntervalSelection,
     spec: SamplingSpec,
     indices: Sequence[int],
     store: CheckpointStore,
-) -> List[SimulationResult]:
+    cursor: Cursor = (0, None),
+    keep_cursor: bool = False,
+) -> Tuple[List[SimulationResult], Cursor]:
     """Measure one contiguous segment of selected intervals.
 
-    Mirrors the per-branch logic of :func:`_measure_intervals` exactly:
-    the first interval either starts at instruction 0 (plain warm-up,
-    like a full run) or is a jump (restore the deepest usable prefix --
-    a positioned checkpoint published through the artifact store, else
-    the warm jump base -- then functionally skip the remaining delta and
-    refill the pipeline with a timed-but-discarded warm stretch); every
-    subsequent interval continues the one timed run.  Functional skips
-    are split-invariant and restore/warm-up states are bit-identical by
-    construction, so the returned deltas equal the corresponding slice
-    of the serial walk bit for bit, whichever process measures them.
+    The first interval either starts at instruction 0 (plain warm-up,
+    like a full run) or is a jump: restore the deepest usable prefix --
+    a positioned checkpoint strictly deeper than ``cursor``, else the
+    cursor itself, else the warm jump base -- then functionally skip the
+    remaining delta and refill the pipeline with a timed-but-discarded
+    warm stretch.  Every later interval continues the one timed run.
+
+    The post-skip state becomes the returned cursor, snapshotted only
+    when something will restore it: a later segment of this walk
+    (``keep_cursor``) or, through the positioned-checkpoint publish, a
+    later run or sibling segment when the artifact store is live.
+    Functional skips are split-invariant and restore/warm-up states are
+    bit-identical by construction, so the returned deltas are the same
+    whichever cursor -- or process -- a segment starts from.
     """
     intervals = selection.intervals
     first = intervals[indices[0]]
     simulator = Simulator(config, workload)
+    offset, checkpoint = cursor
+    before: Optional[SimulationResult] = None
+    segment_target = 0
     if first.start_instruction == 0:
         simulator.warm_up()
-        before: Optional[SimulationResult] = None
-        segment_target = 0
     else:
         warm_len = min(spec.detail_warmup, first.start_instruction)
         skip_target = first.start_instruction - warm_len
-        cursor_offset = 0
-        positioned = store.positioned_checkpoint(config, workload,
-                                                 skip_target)
+        # Ask only for strictly deeper prefixes than the one in hand, so
+        # the reuse counters count real reuse.
+        positioned = None
+        if checkpoint is None or offset < skip_target:
+            positioned = store.positioned_checkpoint(
+                config, workload, skip_target, min_offset=offset)
         if positioned is not None:
-            cursor_offset, cursor = positioned
-            simulator.restore(cursor)
+            offset, checkpoint = positioned
+        elif checkpoint is None:
+            checkpoint = store.jump_base_checkpoint(config, workload)
+        if checkpoint is not None:
+            simulator.restore(checkpoint)
         else:
-            cursor = store.jump_base_checkpoint(config, workload)
-            if cursor is not None:
-                simulator.restore(cursor)
-            else:
-                simulator.warm_up()
+            # Nothing cached: a fresh warm-up is the same state, minus
+            # the cost of snapshotting state nothing would restore.
+            simulator.warm_up()
         simulator.skip_to(skip_target)
-        if store.artifact_store() is not None \
-                and cursor_offset != skip_target and skip_target > 0:
-            # Publish the post-skip state so sibling segments (and later
-            # runs) resume from this prefix instead of skipping from 0.
+        if keep_cursor or store.artifact_store() is not None:
+            # A cursor already at the target (a positioned hit at this
+            # very offset) IS that state: only the presence-checked,
+            # usually no-op publish runs.
+            if checkpoint is None or offset != skip_target:
+                offset, checkpoint = skip_target, simulator.snapshot()
             store.publish_positioned(config, workload, skip_target,
-                                     simulator.snapshot())
-        before = simulator.run(warm_len) if warm_len else None
+                                     checkpoint)
+        if warm_len:
+            before = simulator.run(warm_len)
         segment_target = warm_len
     results: List[SimulationResult] = []
     for index in indices:
@@ -335,7 +271,7 @@ def _measure_segment(
         after = simulator.run(segment_target)
         results.append(result_delta(after, before))
         before = after
-    return results
+    return results, (offset, checkpoint)
 
 
 def _execute_segment(task) -> Tuple[SimulationResult, ...]:
@@ -363,8 +299,9 @@ def _execute_segment(task) -> Tuple[SimulationResult, ...]:
             f"interval selection holds {len(selection.intervals)} "
             f"interval(s) but segment references {task.indices!r}; "
             "selection diverged across processes")
-    return tuple(_measure_segment(task.config, workload, selection, spec,
-                                  task.indices, store))
+    results, _ = _measure_segment(task.config, workload, selection, spec,
+                                  task.indices, store)
+    return tuple(results)
 
 
 def _measure_intervals_parallel(

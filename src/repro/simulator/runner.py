@@ -65,6 +65,9 @@ from .plan import SegmentTask, SimTask, TaskFailure, TaskFailureError, TaskOutco
 from .simulator import _DEFAULT_MAX_CPI, Simulator
 from .stats import SimulationResult
 
+#: What the executor runs: whole simulations and sampled-run segments.
+Task = Union[SimTask, SegmentTask]
+
 #: Cache of built workloads, keyed by (benchmark name, seed).
 _WORKLOAD_CACHE: Dict[tuple, Workload] = {}
 
@@ -216,8 +219,8 @@ def _execute_single(
     return result
 
 
-def _run_task(task: Union[SimTask, tuple]) -> SimulationResult:
-    """Pool worker: run one :class:`SimTask` (or legacy task tuple).
+def _run_task(task: Task) -> SimulationResult:
+    """Pool worker: run one :class:`SimTask` or :class:`SegmentTask`.
 
     Top-level function so it pickles; the workload cache is the worker
     process's own module-global, so each worker builds a given synthetic
@@ -232,21 +235,18 @@ def _run_task(task: Union[SimTask, tuple]) -> SimulationResult:
         from ..sampling.sampled import _execute_segment
 
         return _execute_segment(task)
-    if isinstance(task, SimTask):
-        if task.sampled:
-            # Imported lazily: repro.sampling imports this module.
-            from ..sampling.sampled import _execute_sampled
+    if task.sampled:
+        # Imported lazily: repro.sampling imports this module.
+        from ..sampling.sampled import _execute_sampled
 
-            return _execute_sampled(
-                task.config, task.benchmark,
-                max_instructions=task.max_instructions,
-                spec=task.sampling,
-                interval_jobs=task.interval_jobs,
-            )
-        return _execute_single(task.config, task.benchmark,
-                               task.max_instructions)
-    config, benchmark, max_instructions = task
-    return _execute_single(config, benchmark, max_instructions)
+        return _execute_sampled(
+            task.config, task.benchmark,
+            max_instructions=task.max_instructions,
+            spec=task.sampling,
+            interval_jobs=task.interval_jobs,
+        )
+    return _execute_single(task.config, task.benchmark,
+                           task.max_instructions)
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -368,13 +368,7 @@ def shutdown_pool() -> None:
 atexit.register(shutdown_pool)
 
 
-def _task_benchmark(task: Union[SimTask, tuple]) -> str:
-    if isinstance(task, (SimTask, SegmentTask)):
-        return task.benchmark
-    return task[1]
-
-
-def _task_weight(task: Union[SimTask, tuple]) -> int:
+def _task_weight(task: Task) -> int:
     """Scheduling weight of one task: its instruction budget.
 
     Mixed-budget plans balance far better weighted by instructions than
@@ -386,11 +380,7 @@ def _task_weight(task: Union[SimTask, tuple]) -> int:
     """
     if isinstance(task, SegmentTask):
         return max(1, int(task.weight or 1))
-    if isinstance(task, SimTask):
-        budget = task.max_instructions or task.config.max_instructions
-    else:
-        config, _benchmark, max_instructions = task
-        budget = max_instructions or config.max_instructions
+    budget = task.max_instructions or task.config.max_instructions
     return max(1, int(budget or 1))
 
 
@@ -410,7 +400,7 @@ def _result_hits() -> int:
 
 
 def _timed_task(
-    index: int, task: Union[SimTask, tuple]
+    index: int, task: Task
 ) -> Tuple[int, SimulationResult, float, int, int]:
     """Run one task, measuring wall-clock seconds, store hits and
     full-run result replays (reported distinctly: a result replay skips
@@ -456,8 +446,8 @@ def _run_supervised_chunk(payload) -> tuple:
 
 
 def _affine_chunks(
-    tasks: Sequence[Union[SimTask, tuple]], jobs: int
-) -> List[List[Tuple[int, Union[SimTask, tuple]]]]:
+    tasks: Sequence[Task], jobs: int
+) -> List[List[Tuple[int, Task]]]:
     """Workload-affine schedule: tasks grouped by benchmark, groups split
     only as far as keeping ``jobs`` workers busy requires.
 
@@ -475,15 +465,15 @@ def _affine_chunks(
     groups: Dict[str, List[int]] = {}
     total_weight = 0
     for index, task in enumerate(tasks):
-        groups.setdefault(_task_benchmark(task), []).append(index)
+        groups.setdefault(task.benchmark, []).append(index)
         total_weight += _task_weight(task)
     # Per-chunk weight budget that still yields >= max(jobs, #groups)
     # chunks overall.
     target_chunks = max(jobs, len(groups))
     weight_cap = max(_MIN_CHUNK_WEIGHT, -(-total_weight // target_chunks))
-    weighted_chunks: List[Tuple[int, List[Tuple[int, Union[SimTask, tuple]]]]] = []
+    weighted_chunks: List[Tuple[int, List[Tuple[int, Task]]]] = []
     for indices in groups.values():
-        current: List[Tuple[int, Union[SimTask, tuple]]] = []
+        current: List[Tuple[int, Task]] = []
         current_weight = 0
         for index in indices:
             weight = _task_weight(tasks[index])
@@ -546,7 +536,7 @@ def _effective_parallelism(jobs: int) -> int:
 
 
 def _plan_prefers_inline(
-    tasks: Sequence[Union[SimTask, tuple]], jobs: int
+    tasks: Sequence[Task], jobs: int
 ) -> bool:
     """Whether running this plan inline beats fanning it over the pool.
 
@@ -662,13 +652,13 @@ def _backoff(attempt: int) -> float:
     return min(RETRY_BACKOFF_CAP, RETRY_BACKOFF * (2 ** max(0, attempt - 1)))
 
 
-def _task_key(task: Union[SimTask, tuple]) -> Tuple:
+def _task_key(task: Task) -> Tuple:
     return task.key if isinstance(task, SimTask) else ()
 
 
-def _failure(index: int, task: Union[SimTask, tuple], kind: str,
+def _failure(index: int, task: Task, kind: str,
              message: str, attempts: int) -> TaskCompletion:
-    failure = TaskFailure(index=index, benchmark=_task_benchmark(task),
+    failure = TaskFailure(index=index, benchmark=task.benchmark,
                           key=_task_key(task), kind=kind, message=message,
                           attempts=attempts)
     return TaskCompletion(index, failure, 0.0, 0, 0, attempts)
@@ -979,7 +969,7 @@ def _supervise(tasks, chunks, cancel, task_timeout, max_retries,
 
 
 def iter_task_results(
-    tasks: Sequence[Union[SimTask, tuple]],
+    tasks: Sequence[Task],
     jobs: int = 1,
     cancel=None,
     task_timeout: Optional[float] = None,
@@ -1021,14 +1011,13 @@ def iter_task_results(
 
 
 def run_tasks(
-    tasks: Sequence[Union[SimTask, tuple]],
+    tasks: Sequence[Task],
     jobs: int = 1,
     task_timeout: Optional[float] = None,
     max_retries: Optional[int] = None,
 ) -> List[SimulationResult]:
-    """Run :class:`SimTask` entries (or legacy ``(config, benchmark,
-    max_instructions)`` tuples), optionally on the shared process pool.
-    Results keep task order regardless of ``jobs``.
+    """Run :class:`SimTask` entries, optionally on the shared process
+    pool.  Results keep task order regardless of ``jobs``.
 
     This is the strict surface: tasks that still failed after the retry
     budget raise :class:`~repro.simulator.plan.TaskFailureError` (the

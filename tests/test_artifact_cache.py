@@ -334,6 +334,7 @@ class TestPersistentCheckpoints:
             second = store.jump_base_checkpoint(config, workload)
             assert second is not None
             assert disk.describe().get("checkpoint", (0, 0))[0] == 1
+            assert store.jump_base_checkpoint(config, workload) is second
             # A fresh process restores the published artifact eagerly.
             clear_process_caches()
             other = CheckpointStore()

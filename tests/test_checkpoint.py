@@ -234,23 +234,6 @@ class TestCheckpointStore:
         b = store.warm_checkpoint(config, medium_workload)
         assert a is b
 
-    def test_peek_does_not_build(self, medium_workload):
-        store = CheckpointStore()
-        config = make_sim_config(max_instructions=1000)
-        assert store.peek_warm_checkpoint(config, medium_workload) is None
-        built = store.warm_checkpoint(config, medium_workload)
-        assert store.peek_warm_checkpoint(config, medium_workload) is built
-
-    def test_revisit_builds_on_second_request(self, medium_workload):
-        store = CheckpointStore()
-        config = make_sim_config(max_instructions=1000)
-        assert store.warm_checkpoint_if_revisited(
-            config, medium_workload) is None
-        second = store.warm_checkpoint_if_revisited(config, medium_workload)
-        assert second is not None
-        assert store.warm_checkpoint_if_revisited(
-            config, medium_workload) is second
-
     def test_distinct_configs_get_distinct_checkpoints(self, medium_workload):
         store = CheckpointStore()
         a = store.warm_checkpoint(

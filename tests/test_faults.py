@@ -31,6 +31,7 @@ from repro.faults import (
 from repro.simulator.config import SimulationConfig
 from repro.simulator.plan import (
     ExperimentPlan,
+    SimTask,
     TaskFailure,
     TaskFailureError,
 )
@@ -176,7 +177,7 @@ class TestDecisions:
 class TestChaosExecution:
     def _tasks(self, count=4, instructions=600):
         names = ("gzip", "mcf", "eon", "gcc")
-        return [(fast_config(), names[i % len(names)], instructions)
+        return [SimTask(fast_config(), names[i % len(names)], instructions)
                 for i in range(count)]
 
     def test_worker_kills_retry_to_bit_identical_results(self):
@@ -216,7 +217,7 @@ class TestChaosExecution:
     def test_in_task_errors_are_typed_failures(self):
         bad = SimulationConfig(engine="baseline", technology="0.045um",
                                l1_size_bytes=4096, max_instructions=800)
-        tasks = [(bad, "no-such-benchmark", 800)]
+        tasks = [SimTask(bad, "no-such-benchmark", 800)]
         with pytest.raises(TaskFailureError) as excinfo:
             run_tasks(tasks, jobs=1, max_retries=0)
         (failure,) = excinfo.value.failures
@@ -256,8 +257,8 @@ class TestDeadlines:
 
     def test_strict_surface_raises_on_timeout(self):
         with pytest.raises(TaskFailureError):
-            run_tasks([(fast_config(max_instructions=50_000_000),
-                        "gzip", 50_000_000)],
+            run_tasks([SimTask(fast_config(max_instructions=50_000_000),
+                               "gzip", 50_000_000)],
                       jobs=1, task_timeout=1.0)
 
 
