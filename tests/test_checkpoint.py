@@ -234,6 +234,14 @@ class TestCheckpointStore:
         b = store.warm_checkpoint(config, medium_workload)
         assert a is b
 
+    def test_revisit_builds_on_second_request(self, medium_workload):
+        store = CheckpointStore(None)
+        config = make_sim_config(max_instructions=1000)
+        assert store.jump_base_checkpoint(config, medium_workload) is None
+        second = store.jump_base_checkpoint(config, medium_workload)
+        assert second is not None
+        assert store.jump_base_checkpoint(config, medium_workload) is second
+
     def test_distinct_configs_get_distinct_checkpoints(self, medium_workload):
         store = CheckpointStore()
         a = store.warm_checkpoint(
