@@ -26,12 +26,21 @@ Five dimensions are tracked (each also lands in the session-level
   between runs so the warm number models a fresh CLI invocation,
 * cold-vs-warm full-run result cache: the non-sampled counterpart --
   warm rounds replay complete persisted ``SimulationResult``\\ s with no
-  simulation at all.
+  simulation at all,
+* warm CLI invocations: ``repro-clgp run``/``figure 5``/``tables`` as
+  subprocesses against a warm store, so interpreter start and
+  ``import repro.cli`` are part of the number (``cli_replay``).
 """
 
 import os
 import pickle
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +59,7 @@ from repro.simulator.runner import (
 
 from conftest import run_plan
 
+REPO_ROOT = Path(__file__).parents[1]
 INSTRUCTIONS = 2000
 
 #: Worker count for the parallel-sweep benchmark (env override for CI and
@@ -513,3 +523,118 @@ def test_result_cache_cold_vs_warm(benchmark, api_session, bench_metrics,
         "warm_seconds": round(warm_seconds, 4),
         "speedup": round(speedup, 2),
     }
+
+
+# ----------------------------------------------------------------------
+# warm CLI invocations: interpreter start, import and result replay
+# ----------------------------------------------------------------------
+#: Warm replays timed as subprocesses (``tables`` simulates nothing).
+CLI_COMMANDS = {
+    "run": ("run", "CLGP+L0", "--benchmarks", "mcf", "--instructions",
+            "2000"),
+    "figure 5": ("figure", "5", "--benchmarks", "mcf", "--instructions",
+                 "2000"),
+    "tables": ("tables",),
+}
+CLI_ROUNDS = 5
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(REPO_ROOT), *args],
+                          capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def _machine() -> dict:
+    from importlib import metadata
+
+    try:
+        numpy_version = metadata.version("numpy")
+    except metadata.PackageNotFoundError:
+        numpy_version = None
+    try:
+        commit = _git("rev-parse", "--short", "HEAD")
+        if _git("status", "--porcelain", "--", "src"):
+            commit += "+changes"
+    except (OSError, subprocess.CalledProcessError):
+        commit = None
+    return {
+        "cores": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "numpy": numpy_version,
+        "platform": platform.platform(),
+        "commit": commit,
+    }
+
+
+def _cli_replay(src: Path, argv, store: Path):
+    """Wall seconds and stdout of one ``repro-clgp`` subprocess."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    cache = [] if argv[0] == "tables" else ["--cache-dir", str(store)]
+    start = time.perf_counter()
+    out = subprocess.run([sys.executable, "-m", "repro.cli", *argv, *cache],
+                         env=env, capture_output=True, text=True,
+                         check=True, timeout=300)
+    return time.perf_counter() - start, out.stdout
+
+
+def test_warm_cli_invocation(benchmark, bench_metrics, tmp_path):
+    """Warm ``run``/``figure 5``/``tables`` as a user runs them.
+
+    Each command runs as its own interpreter against a warm store, so
+    interpreter start, ``import repro.cli`` and the result replay are
+    all timed.  Every ``repro`` module compiles from source, as in a
+    fresh checkout under ``PYTHONDONTWRITEBYTECODE=1`` (how the
+    end-to-end benchmark runs the CLI).  With
+    ``REPRO_BENCH_BASELINE_REV=<git rev>`` the same commands of that
+    revision run interleaved with this tree's, in alternating order,
+    against one store warmed by the baseline, and must print identical
+    output; they are recorded as ``before`` (otherwise a previously
+    recorded ``before`` is kept).
+    """
+    trees = {"after": tmp_path / "after" / "src"}
+    shutil.copytree(REPO_ROOT / "src", trees["after"],
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    baseline_rev = os.environ.get("REPRO_BENCH_BASELINE_REV")
+    if baseline_rev:
+        archive = subprocess.run(
+            ["git", "-C", str(REPO_ROOT), "archive", baseline_rev, "src"],
+            capture_output=True, check=True).stdout
+        (tmp_path / "before").mkdir()
+        subprocess.run(["tar", "-x", "-C", str(tmp_path / "before")],
+                       input=archive, check=True)
+        trees = {"before": tmp_path / "before" / "src", **trees}
+    store = tmp_path / "store"
+    warming = next(iter(trees.values()))
+    for argv in CLI_COMMANDS.values():
+        _cli_replay(warming, argv, store)
+
+    def measure() -> dict:
+        times = {tree: {name: [] for name in CLI_COMMANDS} for tree in trees}
+        for round_ in range(CLI_ROUNDS):
+            order = list(trees.items())[::-1 if round_ % 2 else 1]
+            for name, argv in CLI_COMMANDS.items():
+                outputs = set()
+                for tree, src in order:
+                    seconds, stdout = _cli_replay(src, argv, store)
+                    times[tree][name].append(seconds)
+                    outputs.add(stdout)
+                assert len(outputs) == 1, f"{name}: outputs differ"
+        return times
+
+    times = benchmark.pedantic(measure, rounds=1, iterations=1,
+                               warmup_rounds=0)
+
+    def summary(samples) -> dict:
+        return {"median_ms": round(statistics.median(samples) * 1e3, 1),
+                "min_ms": round(min(samples) * 1e3, 1),
+                "max_ms": round(max(samples) * 1e3, 1)}
+
+    entry = {"machine": _machine(), "rounds": CLI_ROUNDS}
+    for tree, commands in times.items():
+        entry[tree] = {name: summary(samples)
+                       for name, samples in commands.items()}
+    if baseline_rev:
+        entry["before"]["commit"] = baseline_rev
+    benchmark.extra_info.update(entry)
+    bench_metrics["cli_replay"] = entry

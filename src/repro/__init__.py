@@ -17,50 +17,21 @@ The supported entry point is the :mod:`repro.api` façade:
 True
 """
 
-from .faults import FaultPlan
-from .simulator import (
-    SimulationConfig,
-    SimulationResult,
-    Simulator,
-    TaskFailure,
-    TaskFailureError,
-    configs_for_schemes,
-    harmonic_mean_ipc,
-    paper_config,
-    simulate,
-    speedup,
-)
-from .technology import TECH_045, TECH_090, TECHNOLOGY_ROADMAP, resolve_technology
-from .workloads import (
-    DEFAULT_MIX,
-    SPECINT2000_NAMES,
-    WorkloadProfile,
-    build_workload,
-    profile_for,
-)
+from ._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".faults": ("FaultPlan",),
+    ".simulator": (
+        "SimulationConfig", "SimulationResult", "Simulator", "TaskFailure",
+        "TaskFailureError", "configs_for_schemes", "harmonic_mean_ipc",
+        "paper_config", "simulate", "speedup",
+    ),
+    ".technology": ("TECH_045", "TECH_090", "TECHNOLOGY_ROADMAP",
+                    "resolve_technology"),
+    ".workloads": ("DEFAULT_MIX", "SPECINT2000_NAMES", "WorkloadProfile",
+                   "build_workload", "profile_for"),
+})
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "DEFAULT_MIX",
-    "FaultPlan",
-    "SPECINT2000_NAMES",
-    "SimulationConfig",
-    "SimulationResult",
-    "Simulator",
-    "TECH_045",
-    "TECH_090",
-    "TECHNOLOGY_ROADMAP",
-    "TaskFailure",
-    "TaskFailureError",
-    "WorkloadProfile",
-    "__version__",
-    "build_workload",
-    "configs_for_schemes",
-    "harmonic_mean_ipc",
-    "paper_config",
-    "profile_for",
-    "resolve_technology",
-    "simulate",
-    "speedup",
-]
+__all__.append("__version__")

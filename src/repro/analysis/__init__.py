@@ -6,40 +6,14 @@ Figure-series builders live on the :class:`repro.api.Session` façade
 derived metrics and formatted text.
 """
 
-from .metrics import (
-    budget_equivalent_size,
-    crossover_size,
-    harmonic_mean,
-    sampling_error_report,
-    speedup,
-    speedup_table,
-)
-from .report import (
-    format_ipc_sweep,
-    format_key_value_table,
-    format_latency_table,
-    format_per_benchmark,
-    format_sampling_errors,
-    format_source_distribution,
-    format_speedups,
-)
-from .tables import table1, table2, table3
+from .._lazy import lazy_exports
 
-__all__ = [
-    "budget_equivalent_size",
-    "crossover_size",
-    "format_ipc_sweep",
-    "format_key_value_table",
-    "format_latency_table",
-    "format_per_benchmark",
-    "format_sampling_errors",
-    "format_source_distribution",
-    "format_speedups",
-    "harmonic_mean",
-    "sampling_error_report",
-    "speedup",
-    "speedup_table",
-    "table1",
-    "table2",
-    "table3",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".metrics": ("budget_equivalent_size", "crossover_size", "harmonic_mean",
+                 "sampling_error_report", "speedup", "speedup_table"),
+    ".report": ("format_ipc_sweep", "format_key_value_table",
+                "format_latency_table", "format_per_benchmark",
+                "format_sampling_errors", "format_source_distribution",
+                "format_speedups"),
+    ".tables": ("table1", "table2", "table3"),
+})

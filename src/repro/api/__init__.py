@@ -40,111 +40,38 @@ inspection helpers) are stable supporting API: the façade is also the
 single import site the CLI and all ``examples/`` use.
 """
 
-from ..analysis.metrics import (
-    budget_equivalent_size,
-    crossover_size,
-    sampling_error_report,
-    speedup_table,
-)
-from ..analysis.report import (
-    format_ipc_sweep,
-    format_key_value_table,
-    format_latency_table,
-    format_per_benchmark,
-    format_sampling_errors,
-    format_source_distribution,
-    format_speedups,
-)
-from ..analysis.tables import table1, table2, table3
-from ..cache.store import (
-    cache_enabled,
-    configure as configure_cache,
-    get_store,
-)
-from ..faults import FaultPlan
-from ..memory.hierarchy import FETCH_SOURCES
-from ..sampling.sampled import SamplingSpec, get_selection
-from ..simulator.config import SimulationConfig
-from ..simulator.plan import (
-    ExperimentPlan,
-    PlanResults,
-    SimTask,
-    TaskFailure,
-    TaskFailureError,
-)
-from ..simulator.presets import SCHEMES, paper_config, scheme_descriptions
-from ..simulator.runner import get_workload, resolve_jobs
-from ..simulator.simulator import Simulator
-from ..simulator.stats import SimulationResult, harmonic_mean_ipc, speedup
-from ..workloads.spec2000 import DEFAULT_MIX, SPECINT2000_NAMES, profile_for
-from .experiments import DEFAULT_SWEEP_SIZES
-from .session import (
-    RUN_STATUSES,
-    Progress,
-    ProgressEvent,
-    RunCancelled,
-    RunHandle,
-    RunResult,
-    Session,
-    default_session,
-)
-from .spec import DEFAULT_OPTIONS, ExecutionOptions, ExperimentSpec
+from .._lazy import lazy_exports
 
-__all__ = [
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     # the façade itself
-    "Session",
-    "ExperimentSpec",
-    "ExecutionOptions",
-    "DEFAULT_OPTIONS",
-    "RunHandle",
-    "RunResult",
-    "RunCancelled",
-    "Progress",
-    "ProgressEvent",
-    "RUN_STATUSES",
-    "default_session",
+    ".session": ("Session", "RunHandle", "RunResult", "RunCancelled",
+                 "Progress", "ProgressEvent", "RUN_STATUSES",
+                 "default_session"),
+    ".spec": ("ExperimentSpec", "ExecutionOptions", "DEFAULT_OPTIONS"),
     # fault tolerance
-    "TaskFailure",
-    "TaskFailureError",
-    "FaultPlan",
+    "..faults": ("FaultPlan",),
     # request/plan building blocks
-    "ExperimentPlan",
-    "PlanResults",
-    "SimTask",
-    "SimulationConfig",
-    "SimulationResult",
-    "Simulator",
-    "SamplingSpec",
-    "get_selection",
-    "paper_config",
-    "scheme_descriptions",
-    "get_workload",
-    "resolve_jobs",
-    "SCHEMES",
-    "DEFAULT_MIX",
-    "DEFAULT_SWEEP_SIZES",
-    "SPECINT2000_NAMES",
-    "FETCH_SOURCES",
-    "profile_for",
+    "..simulator.plan": ("ExperimentPlan", "PlanResults", "SimTask",
+                         "TaskFailure", "TaskFailureError"),
+    "..simulator.config": ("SimulationConfig",),
+    "..simulator.simulator": ("Simulator",),
+    "..sampling.sampled": ("SamplingSpec", "get_selection"),
+    "..simulator.presets": ("SCHEMES", "paper_config", "scheme_descriptions"),
+    "..simulator.runner": ("get_workload", "resolve_jobs"),
+    "..workloads.spec2000": ("DEFAULT_MIX", "SPECINT2000_NAMES",
+                             "profile_for"),
+    ".experiments": ("DEFAULT_SWEEP_SIZES",),
+    "..memory.hierarchy": ("FETCH_SOURCES",),
     # aggregation / reporting
-    "harmonic_mean_ipc",
-    "speedup",
-    "speedup_table",
-    "budget_equivalent_size",
-    "crossover_size",
-    "sampling_error_report",
-    "format_ipc_sweep",
-    "format_key_value_table",
-    "format_latency_table",
-    "format_per_benchmark",
-    "format_sampling_errors",
-    "format_source_distribution",
-    "format_speedups",
-    "table1",
-    "table2",
-    "table3",
+    "..simulator.stats": ("SimulationResult", "harmonic_mean_ipc", "speedup"),
+    "..analysis.metrics": ("speedup_table", "budget_equivalent_size",
+                           "crossover_size", "sampling_error_report"),
+    "..analysis.report": ("format_ipc_sweep", "format_key_value_table",
+                          "format_latency_table", "format_per_benchmark",
+                          "format_sampling_errors",
+                          "format_source_distribution", "format_speedups"),
+    "..analysis.tables": ("table1", "table2", "table3"),
     # artifact cache inspection
-    "cache_enabled",
-    "configure_cache",
-    "get_store",
-]
+    "..cache.store": ("cache_enabled", ("configure_cache", "configure"),
+                      "get_store"),
+})

@@ -33,7 +33,8 @@ from __future__ import annotations
 import queue
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
+                    Tuple, Union)
 
 from ..cache.results import (
     configure_result_cache,
@@ -50,8 +51,10 @@ from ..simulator.runner import (
     shutdown_pool,
 )
 from ..workloads.spec2000 import SPECINT2000_NAMES
-from ..workloads.trace import Workload
 from .spec import DEFAULT_OPTIONS, ExecutionOptions, ExperimentSpec
+
+if TYPE_CHECKING:
+    from ..workloads.trace import Workload
 
 #: Handle states; ``done``/``failed``/``cancelled`` are terminal.
 RUN_STATUSES = ("queued", "running", "done", "failed", "cancelled")

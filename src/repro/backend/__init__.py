@@ -1,11 +1,8 @@
 """Simplified out-of-order back-end model (RUU, commit, data-side traffic)."""
 
-from .dcache import DataCacheModel, DataCacheStats
-from .pipeline import BackendPipeline, BackendStats
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BackendPipeline",
-    "BackendStats",
-    "DataCacheModel",
-    "DataCacheStats",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".dcache": ("DataCacheModel", "DataCacheStats"),
+    ".pipeline": ("BackendPipeline", "BackendStats"),
+})

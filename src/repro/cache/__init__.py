@@ -13,61 +13,18 @@ Public surface:
 * :mod:`repro.cache.shared` -- workload-aware checkpoint pickling.
 """
 
-from .keys import content_key, stable_repr
-from .results import (
-    ENV_RESULT_CACHE_DISABLE,
-    RESULT_CACHE_STATS,
-    configure_result_cache,
-    reset_result_stats,
-    result_cache_enabled,
-)
-from .store import (
-    DEFAULT_CACHE_DIR,
-    ENV_CACHE_DIR,
-    ENV_CACHE_DISABLE,
-    SCHEMA_VERSION,
-    ArtifactStore,
-    FsckReport,
-    GcReport,
-    active_store,
-    cache_enabled,
-    configure,
-    frame_digest,
-    get_store,
-    reset_configuration,
-    restore_configuration,
-    snapshot_configuration,
-    temporary_cache_dir,
-    unframe_digest,
-)
-from .traces import clear_trace_cache, ensure_compiled_trace, trace_bucket
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ArtifactStore",
-    "DEFAULT_CACHE_DIR",
-    "ENV_CACHE_DIR",
-    "ENV_CACHE_DISABLE",
-    "ENV_RESULT_CACHE_DISABLE",
-    "FsckReport",
-    "GcReport",
-    "RESULT_CACHE_STATS",
-    "SCHEMA_VERSION",
-    "active_store",
-    "cache_enabled",
-    "clear_trace_cache",
-    "configure",
-    "configure_result_cache",
-    "content_key",
-    "ensure_compiled_trace",
-    "frame_digest",
-    "get_store",
-    "reset_configuration",
-    "reset_result_stats",
-    "restore_configuration",
-    "result_cache_enabled",
-    "snapshot_configuration",
-    "stable_repr",
-    "temporary_cache_dir",
-    "trace_bucket",
-    "unframe_digest",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".keys": ("content_key", "stable_repr"),
+    ".results": ("ENV_RESULT_CACHE_DISABLE", "RESULT_CACHE_STATS",
+                 "configure_result_cache", "reset_result_stats",
+                 "result_cache_enabled"),
+    ".store": ("DEFAULT_CACHE_DIR", "ENV_CACHE_DIR", "ENV_CACHE_DISABLE",
+               "SCHEMA_VERSION", "ArtifactStore", "FsckReport", "GcReport",
+               "active_store", "cache_enabled", "configure", "frame_digest",
+               "get_store", "reset_configuration", "restore_configuration",
+               "snapshot_configuration", "temporary_cache_dir",
+               "unframe_digest"),
+    ".traces": ("clear_trace_cache", "ensure_compiled_trace", "trace_bucket"),
+})

@@ -731,12 +731,13 @@ def configure(cache_dir: Optional[str] = None,
     """Set process-wide overrides (the CLI's ``--cache-dir``/``--no-cache``).
 
     ``None`` leaves the respective setting untouched (environment
-    variables and defaults keep deciding).
+    variables and defaults keep deciding).  The live store -- and its
+    :class:`StoreStats` -- survives a re-configuration that keeps the
+    root; :func:`get_store` opens a new one when the root changes.
     """
-    global _override_dir, _override_enabled, _active
+    global _override_dir, _override_enabled
     if cache_dir is not None:
         _override_dir = str(cache_dir)
-        _active = None
     if enabled is not None:
         _override_enabled = enabled
 
@@ -749,9 +750,8 @@ def snapshot_configuration() -> tuple:
 
 def restore_configuration(snapshot: tuple) -> None:
     """Reinstate overrides captured by :func:`snapshot_configuration`."""
-    global _override_dir, _override_enabled, _active
+    global _override_dir, _override_enabled
     _override_dir, _override_enabled = snapshot
-    _active = None
 
 
 def reset_configuration() -> None:
@@ -776,8 +776,8 @@ def get_store() -> ArtifactStore:
     """The store at the currently-configured root (even when disabled --
     ``cache path``/``cache clear`` still need to address it)."""
     global _active
-    root = resolved_cache_dir()
-    if _active is None or str(_active.root) != root:
+    root = Path(resolved_cache_dir())
+    if _active is None or _active.root != root:
         _active = ArtifactStore(root)
     return _active
 

@@ -59,7 +59,6 @@ from .api import (
     SPECINT2000_NAMES,
     ExecutionOptions,
     ExperimentSpec,
-    SamplingSpec,
     Session,
     TaskFailureError,
     cache_enabled,
@@ -69,14 +68,10 @@ from .api import (
     format_per_benchmark,
     format_source_distribution,
     format_speedups,
-    get_selection,
     get_store,
     harmonic_mean_ipc,
     paper_config,
     profile_for,
-    table1,
-    table2,
-    table3,
 )
 
 
@@ -442,6 +437,8 @@ def _cmd_cache(session: Session, args: argparse.Namespace) -> int:
 
 
 def _cmd_tables(session: Session, args: argparse.Namespace) -> int:
+    from .api import table1, table2, table3
+
     rows1 = {f"{r['year']}": f"{r['technology_um']}um, {r['clock_ghz']}GHz, "
              f"{r['cycle_time_ns']}ns" for r in table1()}
     print(format_key_value_table(rows1, "Table 1: SIA technology roadmap"))
@@ -468,6 +465,8 @@ def _cmd_speedups(session: Session, args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(session: Session, args: argparse.Namespace) -> int:
+    from .api import SamplingSpec, get_selection
+
     try:
         spec = SamplingSpec(
             interval_length=args.interval_length,

@@ -1,31 +1,16 @@
 """Core contribution: fetch engines (baseline, FDP, CLGP) and their parts."""
 
-from .baseline import BaselineEngine
-from .classic_prefetchers import NextNLineEngine, TargetLineEngine
-from .clgp import CLGPEngine
-from .cltq import CacheLineTargetQueue
-from .engine import FetchEngine, FetchEngineConfig, FetchStats
-from .fdp import FDPEngine
-from .filtering import EnqueueCacheProbeFilter, NullFilter, make_filter
-from .ftq import FetchTargetQueue
-from .prefetch_buffer import PreBufferEntry, PrefetchBuffer
-from .prestage_buffer import PrestageBuffer
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BaselineEngine",
-    "CacheLineTargetQueue",
-    "CLGPEngine",
-    "EnqueueCacheProbeFilter",
-    "FDPEngine",
-    "FetchEngine",
-    "FetchEngineConfig",
-    "FetchStats",
-    "FetchTargetQueue",
-    "NextNLineEngine",
-    "NullFilter",
-    "PreBufferEntry",
-    "PrefetchBuffer",
-    "PrestageBuffer",
-    "TargetLineEngine",
-    "make_filter",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".baseline": ("BaselineEngine",),
+    ".classic_prefetchers": ("NextNLineEngine", "TargetLineEngine"),
+    ".clgp": ("CLGPEngine",),
+    ".cltq": ("CacheLineTargetQueue",),
+    ".engine": ("FetchEngine", "FetchEngineConfig", "FetchStats"),
+    ".fdp": ("FDPEngine",),
+    ".filtering": ("EnqueueCacheProbeFilter", "NullFilter", "make_filter"),
+    ".ftq": ("FetchTargetQueue",),
+    ".prefetch_buffer": ("PreBufferEntry", "PrefetchBuffer"),
+    ".prestage_buffer": ("PrestageBuffer",),
+})

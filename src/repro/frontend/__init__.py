@@ -1,17 +1,10 @@
 """Decoupled front-end: fetch blocks, RAS, stream predictor, prediction unit."""
 
-from .fetch_block import FetchBlock, FetchLineRequest, FetchedInstruction
-from .prediction import PredictionStats, PredictionUnit
-from .ras import ReturnAddressStack
-from .stream_predictor import StreamPredictor, StreamPrediction
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FetchBlock",
-    "FetchLineRequest",
-    "FetchedInstruction",
-    "PredictionStats",
-    "PredictionUnit",
-    "ReturnAddressStack",
-    "StreamPredictor",
-    "StreamPrediction",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".fetch_block": ("FetchBlock", "FetchLineRequest", "FetchedInstruction"),
+    ".prediction": ("PredictionStats", "PredictionUnit"),
+    ".ras": ("ReturnAddressStack",),
+    ".stream_predictor": ("StreamPredictor", "StreamPrediction"),
+})

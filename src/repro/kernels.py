@@ -17,6 +17,9 @@ primitives that consume those columns wholesale instead of block-by-block:
 Numpy policy: every kernel has a pure-python implementation that is the
 reference semantics; when numpy is importable (it is an *optional*
 accelerator, never a dependency) a vectorized fast path is used instead.
+numpy is probed on the first :func:`numpy_or_none` call, not when this
+module is imported, so code paths that never run a kernel (a warm
+result replay, ``repro-clgp tables``) never pay numpy's import.
 The two are bit/float-identical -- the miss draws hash 64-bit lattices
 whose wraparound arithmetic maps 1:1 onto ``uint64`` vectors, and every
 count is an exact integer -- and the differential suite in
@@ -57,11 +60,16 @@ def _probe_numpy():
     return numpy
 
 
-_NP = _probe_numpy()
+#: Sentinel: numpy not probed yet (the first :func:`numpy_or_none` call does).
+_UNPROBED = object()
+_NP = _UNPROBED
 
 
 def numpy_or_none():
     """The numpy module when the fast path is enabled, else ``None``."""
+    global _NP
+    if _NP is _UNPROBED:
+        _NP = _probe_numpy()
     return _NP
 
 
@@ -117,7 +125,7 @@ def grouped_load_miss_counts(
     """
     d_out = [0] * group_count
     dm_out = [0] * group_count
-    np = _NP
+    np = numpy_or_none()
     if np is None:
         index = start_index
         l2_salt = seed ^ _L2_SALT
@@ -171,7 +179,7 @@ def interval_block_counts(
     order is part of the contract).  The columns must already cover
     ``total_instructions``.
     """
-    np = _NP
+    np = numpy_or_none()
     if np is None:
         return _interval_block_counts_python(
             addrs, sizes, total_instructions, interval_length

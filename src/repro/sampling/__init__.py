@@ -14,35 +14,15 @@ Workflow (see README "Sampled simulation"):
    run at a fraction of its cost.
 """
 
-from .bbv import BBVProfile, DEFAULT_PROJECTION_DIM, profile_workload, project_counts
-from .checkpoint import CheckpointStore, DEFAULT_STORE, clear_checkpoint_store
-from .proxy import FunctionalProfile, functional_profile, proxy_cycles
-from .sampled import DEFAULT_SPEC, SamplingSpec, get_selection
-from .simpoint import (
-    IntervalSelection,
-    SelectedInterval,
-    kmeans,
-    select_intervals,
-    select_stratified,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BBVProfile",
-    "CheckpointStore",
-    "DEFAULT_PROJECTION_DIM",
-    "DEFAULT_SPEC",
-    "DEFAULT_STORE",
-    "FunctionalProfile",
-    "IntervalSelection",
-    "SamplingSpec",
-    "SelectedInterval",
-    "clear_checkpoint_store",
-    "functional_profile",
-    "get_selection",
-    "kmeans",
-    "profile_workload",
-    "project_counts",
-    "proxy_cycles",
-    "select_intervals",
-    "select_stratified",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".bbv": ("BBVProfile", "DEFAULT_PROJECTION_DIM", "profile_workload",
+             "project_counts"),
+    ".checkpoint": ("CheckpointStore", "DEFAULT_STORE",
+                    "clear_checkpoint_store"),
+    ".proxy": ("FunctionalProfile", "functional_profile", "proxy_cycles"),
+    ".sampled": ("DEFAULT_SPEC", "SamplingSpec", "get_selection"),
+    ".simpoint": ("IntervalSelection", "SelectedInterval", "kmeans",
+                  "select_intervals", "select_stratified"),
+})

@@ -11,22 +11,12 @@ Start it with ``repro-clgp serve`` or embed it via
 :class:`~repro.service.client.ServiceClient`.
 """
 
-from .client import RetryLater, ServiceClient, ServiceError
-from .codec import CodecError, canonical_json, request_key
-from .scheduler import FairScheduler, QueueFull, QuotaExceeded, RejectedRequest
-from .server import ExperimentServer, ServerThread
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CodecError",
-    "ExperimentServer",
-    "FairScheduler",
-    "QueueFull",
-    "QuotaExceeded",
-    "RejectedRequest",
-    "RetryLater",
-    "ServerThread",
-    "ServiceClient",
-    "ServiceError",
-    "canonical_json",
-    "request_key",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".client": ("RetryLater", "ServiceClient", "ServiceError"),
+    ".codec": ("CodecError", "canonical_json", "request_key"),
+    ".scheduler": ("FairScheduler", "QueueFull", "QuotaExceeded",
+                   "RejectedRequest"),
+    ".server": ("ExperimentServer", "ServerThread"),
+})

@@ -1,81 +1,22 @@
 """Simulator layer: configuration, presets, cycle loop, runner, results."""
 
-from .config import ENGINE_NAMES, PIPELINED_PREBUFFER_ENTRIES, SimulationConfig
-from .presets import (
-    FIGURE1_SCHEMES,
-    FIGURE5_SCHEMES,
-    FIGURE6_SCHEMES,
-    SCHEMES,
-    configs_for_schemes,
-    paper_config,
-    scheme_descriptions,
-)
-from .plan import (
-    ExperimentPlan,
-    PlanResults,
-    SimTask,
-    TaskFailure,
-    TaskFailureError,
-)
-from .runner import (
-    TaskCompletion,
-    bench_benchmark_names,
-    bench_instruction_budget,
-    bench_l1_sizes,
-    clear_workload_cache,
-    get_workload,
-    iter_task_results,
-    resolve_jobs,
-    run_tasks,
-    supervisor_stats,
-)
-from .simulator import Simulator, SimulatorCheckpoint, simulate
-from .stats import (
-    SimulationResult,
-    aggregate_fetch_sources,
-    aggregate_prefetch_sources,
-    harmonic_mean,
-    harmonic_mean_ipc,
-    result_delta,
-    speedup,
-    weighted_aggregate,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ENGINE_NAMES",
-    "ExperimentPlan",
-    "FIGURE1_SCHEMES",
-    "FIGURE5_SCHEMES",
-    "FIGURE6_SCHEMES",
-    "PIPELINED_PREBUFFER_ENTRIES",
-    "PlanResults",
-    "SCHEMES",
-    "SimTask",
-    "SimulationConfig",
-    "SimulationResult",
-    "Simulator",
-    "SimulatorCheckpoint",
-    "TaskCompletion",
-    "TaskFailure",
-    "TaskFailureError",
-    "aggregate_fetch_sources",
-    "aggregate_prefetch_sources",
-    "bench_benchmark_names",
-    "bench_instruction_budget",
-    "bench_l1_sizes",
-    "clear_workload_cache",
-    "configs_for_schemes",
-    "get_workload",
-    "harmonic_mean",
-    "harmonic_mean_ipc",
-    "iter_task_results",
-    "paper_config",
-    "resolve_jobs",
-    "result_delta",
-    "run_tasks",
-    "scheme_descriptions",
-    "simulate",
-    "speedup",
-    "supervisor_stats",
-    "weighted_aggregate",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".config": ("ENGINE_NAMES", "PIPELINED_PREBUFFER_ENTRIES",
+                "SimulationConfig"),
+    ".presets": ("FIGURE1_SCHEMES", "FIGURE5_SCHEMES", "FIGURE6_SCHEMES",
+                 "SCHEMES", "configs_for_schemes", "paper_config",
+                 "scheme_descriptions"),
+    ".plan": ("ExperimentPlan", "PlanResults", "SimTask", "TaskFailure",
+              "TaskFailureError"),
+    ".runner": ("TaskCompletion", "bench_benchmark_names",
+                "bench_instruction_budget", "bench_l1_sizes",
+                "clear_workload_cache", "get_workload", "iter_task_results",
+                "resolve_jobs", "run_tasks", "supervisor_stats"),
+    ".simulator": ("Simulator", "SimulatorCheckpoint", "simulate"),
+    ".stats": ("SimulationResult", "aggregate_fetch_sources",
+               "aggregate_prefetch_sources", "harmonic_mean",
+               "harmonic_mean_ipc", "result_delta", "speedup",
+               "weighted_aggregate"),
+})

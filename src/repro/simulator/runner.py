@@ -51,19 +51,34 @@ import itertools
 import os
 import queue
 import signal
+import sys
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 from .. import faults
-from ..cache.traces import ensure_compiled_trace
+from .._lazy import lazy_exports
 from ..workloads.spec2000 import DEFAULT_MIX, SPECINT2000_NAMES, profile_for
-from ..workloads.trace import Workload, build_workload
 from .config import SimulationConfig
 from .plan import SegmentTask, SimTask, TaskFailure, TaskFailureError, TaskOutcome
-from .simulator import _DEFAULT_MAX_CPI, Simulator
 from .stats import SimulationResult
+
+if TYPE_CHECKING:
+    from ..workloads.trace import Workload
+
+# The simulator stack (every engine, the back end, warming, kernels) is
+# imported on first use rather than here: a warm result replay needs
+# only the workload's identity.  ``Simulator`` still reads as a module
+# attribute, so tests can patch ``runner.Simulator``.
+__getattr__ = lazy_exports(__name__, {".simulator": ("Simulator",)})[0]
+
+
+def _simulator_class():
+    """``Simulator``, or whatever a test patched in its place."""
+    return getattr(sys.modules[__name__], "Simulator")
+
 
 #: What the executor runs: whole simulations and sampled-run segments.
 Task = Union[SimTask, SegmentTask]
@@ -87,6 +102,8 @@ def get_workload_for_profile(profile) -> Workload:
     """
     key = (profile.name, profile.seed)
     if key not in _WORKLOAD_CACHE:
+        from ..workloads.trace import build_workload
+
         _WORKLOAD_CACHE[key] = build_workload(profile)
     return _WORKLOAD_CACHE[key]
 
@@ -185,6 +202,11 @@ def _execute_single(
     cached = load_cached_result(config, profile.name, profile.seed, total)
     if cached is not None:
         return cached
+    from ..cache.traces import ensure_compiled_trace
+    # Imported lazily: repro.sampling imports this module.
+    from ..sampling.checkpoint import DEFAULT_STORE
+    from .simulator import _DEFAULT_MAX_CPI
+
     workload = get_workload(benchmark)
     # With the artifact cache enabled the correct-path walk replays from
     # a compiled trace (persisted once per workload); disabled, the
@@ -192,10 +214,7 @@ def _execute_single(
     ensure_compiled_trace(
         workload, max(total, config.resolved_warmup_instructions())
     )
-    # Imported lazily: repro.sampling imports this module.
-    from ..sampling.checkpoint import DEFAULT_STORE
-
-    simulator = Simulator(config, workload)
+    simulator = _simulator_class()(config, workload)
     if total:
         # A completed smaller-budget run of the same configuration left
         # its end state as a frontier checkpoint: resume the timed loop
@@ -332,6 +351,12 @@ def _shared_pool(processes: int) -> multiprocessing.pool.Pool:
             # turn, ping-ponging until retry budgets burn out.
             shutdown_pool()
         if _POOL is None:
+            # Workers fork from this process: load the simulator stack
+            # and numpy here once, so no worker imports them again.
+            from ..kernels import numpy_or_none
+
+            _simulator_class()
+            numpy_or_none()
             _POOL_EVENTS = multiprocessing.SimpleQueue()
             _POOL = multiprocessing.Pool(
                 processes=processes,

@@ -1,46 +1,14 @@
 """Synthetic workload substrate (programs, traces, SPECint2000 profiles)."""
 
-from .bbdict import BasicBlockDictionary, StaticBlockView
-from .cfg import BasicBlock, ControlFlowGraph, Function
-from .generator import ProgramGenerator, WorkloadProfile, generate_program
-from .isa import INSTRUCTION_BYTES, BranchKind, InstrClass
-from .spec2000 import (
-    DEFAULT_MIX,
-    SPECINT2000_NAMES,
-    SPECINT2000_PROFILES,
-    profile_for,
-    profiles_for,
-)
-from .trace import (
-    ActualStream,
-    CorrectPathOracle,
-    DynamicBlock,
-    ProgramWalker,
-    Workload,
-    build_workload,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BasicBlock",
-    "BasicBlockDictionary",
-    "BranchKind",
-    "ControlFlowGraph",
-    "CorrectPathOracle",
-    "DEFAULT_MIX",
-    "DynamicBlock",
-    "Function",
-    "INSTRUCTION_BYTES",
-    "InstrClass",
-    "ActualStream",
-    "ProgramGenerator",
-    "ProgramWalker",
-    "SPECINT2000_NAMES",
-    "SPECINT2000_PROFILES",
-    "StaticBlockView",
-    "Workload",
-    "WorkloadProfile",
-    "build_workload",
-    "generate_program",
-    "profile_for",
-    "profiles_for",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".bbdict": ("BasicBlockDictionary", "StaticBlockView"),
+    ".cfg": ("BasicBlock", "ControlFlowGraph", "Function"),
+    ".generator": ("ProgramGenerator", "WorkloadProfile", "generate_program"),
+    ".isa": ("INSTRUCTION_BYTES", "BranchKind", "InstrClass"),
+    ".spec2000": ("DEFAULT_MIX", "SPECINT2000_NAMES", "SPECINT2000_PROFILES",
+                  "profile_for", "profiles_for"),
+    ".trace": ("ActualStream", "CorrectPathOracle", "DynamicBlock",
+               "ProgramWalker", "Workload", "build_workload"),
+})
