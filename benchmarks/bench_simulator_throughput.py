@@ -62,6 +62,9 @@ from conftest import run_plan
 REPO_ROOT = Path(__file__).parents[1]
 INSTRUCTIONS = 2000
 
+#: Sanity minimum for absolute timed-loop throughput (CLGP+L0, instr/s).
+TIMED_LOOP_FLOOR = 30_000
+
 #: Worker count for the parallel-sweep benchmark (env override for CI and
 #: bigger machines; 2 keeps the smoke run meaningful on small containers).
 SWEEP_JOBS = max(1, int(os.environ.get("REPRO_BENCH_JOBS", "2")))
@@ -100,6 +103,9 @@ def test_simulation_throughput(benchmark, scheme, bench_metrics):
         bench_metrics.setdefault("per_pass", {})["timed_loop"] = {
             "instructions_per_second": round(instructions_per_second),
         }
+        assert instructions_per_second >= TIMED_LOOP_FLOOR, (
+            f"timed-loop throughput {instructions_per_second:.0f} fell "
+            f"below {TIMED_LOOP_FLOOR} instr/s")
 
 
 @pytest.mark.parametrize("jobs", [1, SWEEP_JOBS])
@@ -152,7 +158,10 @@ PASS_INSTRUCTIONS = 30_000
 PASS_INTERVAL = 1000
 
 
-def _record_pass(bench_metrics, benchmark, name, instructions, ref_seconds):
+def _record_pass(bench_metrics, benchmark, name, instructions, ref_seconds,
+                 floor):
+    """Record one pass's throughput and assert its batched speedup over
+    the reference interpreter stays at or above ``floor``."""
     seconds = benchmark.stats.stats.min
     ips = instructions / seconds
     ref_ips = instructions / ref_seconds if ref_seconds else 0.0
@@ -165,6 +174,8 @@ def _record_pass(bench_metrics, benchmark, name, instructions, ref_seconds):
         "reference_instructions_per_second": round(ref_ips),
         "speedup": speedup,
     }
+    assert speedup >= floor, \
+        f"{name} batch speedup {speedup}x fell below {floor}x"
 
 
 def test_bbv_profile_throughput(benchmark, bench_metrics, monkeypatch):
@@ -184,7 +195,7 @@ def test_bbv_profile_throughput(benchmark, bench_metrics, monkeypatch):
     )
     assert pickle.dumps(batched) == pickle.dumps(reference)
     _record_pass(bench_metrics, benchmark, "bbv_profile",
-                 PASS_INSTRUCTIONS, ref_seconds)
+                 PASS_INSTRUCTIONS, ref_seconds, floor=2.5)
 
 
 def test_functional_skip_throughput(benchmark, bench_metrics, monkeypatch):
@@ -222,7 +233,7 @@ def test_functional_skip_throughput(benchmark, bench_metrics, monkeypatch):
     # skip; both are small next to 30k block-by-block steps, and the
     # recorded speedup is the conservative side of that bias anyway.
     _record_pass(bench_metrics, benchmark, "functional_skip",
-                 PASS_INSTRUCTIONS, ref_seconds)
+                 PASS_INSTRUCTIONS, ref_seconds, floor=2.5)
 
 
 def test_proxy_profile_throughput(benchmark, bench_metrics, monkeypatch):
@@ -253,7 +264,7 @@ def test_proxy_profile_throughput(benchmark, bench_metrics, monkeypatch):
                                  warmup_rounds=1)
     assert pickle.dumps(batched) == pickle.dumps(reference)
     _record_pass(bench_metrics, benchmark, "proxy_profile",
-                 PASS_INSTRUCTIONS, ref_seconds)
+                 PASS_INSTRUCTIONS, ref_seconds, floor=1.5)
 
 
 @pytest.mark.parametrize("scheme", ["CLGP+L0", "base-pipelined"])

@@ -23,26 +23,22 @@ Submissions execute on a background thread over the one task executor
 (:func:`repro.simulator.runner.iter_task_results`); handles stream
 per-task progress events (count, benchmark, wall-clock seconds, artifact
 cache hits), block on :meth:`RunHandle.result`, and can be cancelled.
-Submissions whose effective cache/fault policy is identical run
-concurrently (the shared pool and the workers' in-memory caches are
-reused across them); conflicting policy scopes take turns.
+Each submission runs under its own :class:`~repro.context.ExecutionContext`
+-- store root and enable flag, result-replay policy and fault plan,
+resolved once at submit time -- so submissions of any policies run
+concurrently and share the pool and the workers' in-memory caches.
 """
 
 from __future__ import annotations
 
+import contextlib
 import queue
 import threading
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
                     Tuple, Union)
 
-from ..cache.results import (
-    configure_result_cache,
-    restore_result_configuration,
-    snapshot_result_configuration,
-)
-from ..cache.store import configure, restore_configuration, snapshot_configuration
-from ..faults import configure_faults, restore_faults, snapshot_faults
+from ..context import ExecutionContext, use_context
 from ..simulator.plan import ExperimentPlan, PlanResults, SimTask, TaskFailure
 from ..simulator.runner import (
     get_workload,
@@ -61,40 +57,24 @@ RUN_STATUSES = ("queued", "running", "done", "failed", "cancelled")
 
 
 class _ExecutionGate:
-    """Admission control for executions sharing process-global policy.
+    """Drain for in-flight executions.
 
-    The artifact-store / result-cache / fault configuration behind every
-    execution is process-level state, so executions whose *effective*
-    policy differs must not overlap -- but executions with an identical
-    policy scope (the same cache dir/enable, result-cache and fault
-    overrides) can run concurrently: the configuration they would apply
-    is the same.  This gate therefore admits any number of executions of
-    one policy scope at a time and serializes across scopes, which is
-    what lets many :class:`Session` submissions (and the experiment
-    service built on them) keep >=2 runs in flight.
-
-    The scope's configuration is applied exactly once -- when the first
-    execution of a scope enters -- and the pre-scope state is restored
-    when the last one leaves, so a finishing execution can never revert
-    the store out from under a still-running sibling.
-
-    The gate also speaks the lock protocol (``with gate:`` /
-    ``acquire``/``release``): an exclusive hold keeps *all* executions
-    out, which :meth:`Session.close` uses to wait for in-flight runs and
-    tests use to hold submissions queued.
+    Any number of executions may be inside at once: each runs under its
+    own execution context, so none can redirect another's store.  The
+    gate speaks the lock protocol (``with gate:`` /
+    ``acquire``/``release``): an exclusive hold waits until no execution
+    is inside and keeps new ones out, which :meth:`Session.close` uses
+    to wait for in-flight runs and tests use to hold submissions queued.
     """
 
     def __init__(self) -> None:
         self._cond = threading.Condition()
         self._active = 0
-        self._scope: Optional[tuple] = None
-        self._restore: Optional[Callable[[], None]] = None
         self._exclusive = 0
         #: Exclusive acquirers currently blocked in :meth:`acquire`.
-        #: ``enter_scope`` waits on this too (writer preference): a
-        #: steady stream of same-scope submissions -- exactly the
-        #: experiment-service workload -- must not starve ``close()``
-        #: or a cross-scope execution waiting its turn.
+        #: ``enter`` waits on this too (writer preference): a steady
+        #: stream of submissions -- exactly the experiment-service
+        #: workload -- must not starve ``close()``.
         self._exclusive_waiting = 0
 
     # -- lock protocol (exclusive: no execution may be inside) ---------
@@ -122,35 +102,19 @@ class _ExecutionGate:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.release()
 
-    # -- shared, policy-scoped entry -----------------------------------
-    def enter_scope(self, scope: tuple,
-                    apply: Callable[[], Optional[Callable[[], None]]]) -> None:
-        """Join ``scope``, waiting out exclusive holders and executions
-        of any *other* scope.  ``apply`` runs (under the gate) only for
-        the first execution of the scope and returns the restore
-        callback invoked when the last execution leaves."""
+    # -- shared entry ---------------------------------------------------
+    def enter(self) -> None:
+        """Admit one execution, waiting out exclusive holders and
+        blocked exclusive acquirers."""
         with self._cond:
-            while self._exclusive or self._exclusive_waiting \
-                    or (self._active and self._scope != scope):
+            while self._exclusive or self._exclusive_waiting:
                 self._cond.wait()
-            if self._active == 0:
-                self._scope = scope
-                try:
-                    self._restore = apply()
-                except BaseException:
-                    self._scope = None
-                    self._cond.notify_all()
-                    raise
             self._active += 1
 
-    def leave_scope(self) -> None:
+    def leave(self) -> None:
         with self._cond:
             self._active -= 1
             if self._active == 0:
-                restore, self._restore = self._restore, None
-                self._scope = None
-                if restore is not None:
-                    restore()
                 self._cond.notify_all()
 
     def idle(self) -> bool:
@@ -159,8 +123,7 @@ class _ExecutionGate:
             return self._active == 0
 
 
-#: The process-wide gate every execution passes through: identical
-#: cache-policy scopes overlap, conflicting scopes serialize.
+#: The process-wide drain every execution passes through.
 _EXECUTION_GATE = _ExecutionGate()
 
 
@@ -268,10 +231,11 @@ class RunHandle:
 
     def __init__(self, session: "Session", plan: ExperimentPlan,
                  options: ExecutionOptions, jobs: int) -> None:
-        self._session = session
         self._plan = plan
         self._options = options
         self._jobs = jobs
+        #: The policy the run executes under, resolved at submit time.
+        self._context = session._context(options)
         self._status = "queued"
         self._completed = 0
         self._total = len(plan)
@@ -387,9 +351,10 @@ class Session:
       = all cores, ``1`` = inline).  The shared multiprocessing pool is
       reused across submissions and torn down by :meth:`close` /
       ``__exit__``.
-    * ``cache_dir`` / ``cache`` -- artifact-cache root and enable flag;
-      applied for the session's lifetime and restored on close
-      (``None`` inherits environment/defaults).
+    * ``cache_dir`` / ``cache`` -- artifact-cache root and enable flag
+      of every submission (``None`` inherits the ambient setting).
+      Inside ``with Session(...)`` the entering thread reads them too,
+      so ``get_store()`` there addresses the session's store.
     * the workload registry -- :meth:`workload` builds (once per process)
       and returns any registered synthetic benchmark.
     """
@@ -400,32 +365,26 @@ class Session:
         self._jobs = jobs
         self._closed = False
         self._used_pool = False
-        # Executions pass through the process-wide gate: submissions
-        # whose effective cache/result-cache/fault policy is identical
-        # run concurrently (the server's scheduler needs >=2 in-flight
-        # runs); only *conflicting* policy scopes serialize, so one
-        # session can never redirect another's store mid-run.  An
-        # exclusive hold of the gate (``with session._exec_lock:``)
-        # still keeps every execution out.
+        # Executions pass through the process-wide drain; an exclusive
+        # hold of it (``with session._exec_lock:``) keeps them all out.
         self._exec_lock = _EXECUTION_GATE
         self._cache_dir = cache_dir
         self._cache = cache
-        self._cache_snapshot = None
-        if cache_dir is not None or cache is not None:
-            # Apply eagerly so ambient reads inside `with Session(...)`
-            # (e.g. `repro-clgp cache ls --cache-dir X`) see the
-            # session's store; every execution re-applies these settings
-            # itself, so a concurrently-constructed session cannot
-            # redirect this session's runs.
-            self._cache_snapshot = snapshot_configuration()
-            configure(cache_dir=cache_dir, enabled=cache)
+        self._entered = contextlib.ExitStack()
 
     # -- lifecycle --------------------------------------------------------
     def __enter__(self) -> "Session":
+        if self._cache_dir is not None or self._cache is not None:
+            # Reads on this thread inside `with Session(...)` (e.g.
+            # `repro-clgp cache ls --cache-dir X`) see the session's store.
+            self._entered.enter_context(use_context(self._context()))
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+        try:
+            self.close()
+        finally:
+            self._entered.close()
 
     @property
     def closed(self) -> bool:
@@ -436,9 +395,8 @@ class Session:
         return self._jobs
 
     def close(self) -> None:
-        """Finish outstanding submissions, shut the shared pool down (if
-        this session fanned out and no other session is mid-run), and
-        restore the cache configuration."""
+        """Finish outstanding submissions and shut the shared pool down
+        (if this session fanned out and no other session is mid-run)."""
         if self._closed:
             return
         with self._exec_lock:   # exclusive: wait for running executions
@@ -448,33 +406,45 @@ class Session:
             # over the shared pool; leave it alive for them (atexit
             # reaps it) instead of tearing their sweep down.
             shutdown_pool()
-        if self._cache_snapshot is not None:
-            restore_configuration(self._cache_snapshot)
-            self._cache_snapshot = None
+
+    def _context(self, options: ExecutionOptions = DEFAULT_OPTIONS
+                ) -> ExecutionContext:
+        """The execution context a submission with ``options`` runs
+        under: each setting from ``options``, else from the session,
+        else from the ambient policy of the calling thread."""
+        return ExecutionContext.resolve(
+            cache_dir=(options.cache_dir if options.cache_dir is not None
+                       else self._cache_dir),
+            cache=options.cache if options.cache is not None else self._cache,
+            result_cache=options.result_cache,
+            faults=options.faults,
+        )
 
     # -- observability ------------------------------------------------------
     def cache_counters(self) -> Dict[str, object]:
         """This process's cache/supervision counters as a JSON-able dict.
 
         One machine-readable surface (the CLI's ``cache stats --json``)
-        over the artifact store (:class:`~repro.cache.store.StoreStats`,
-        plus the store's location, per-kind contents and last ``fsck``
-        report when one ran), result replay and the supervised
-        executor -- so CI jobs and service probes can assert on counters
-        instead of scraping human-formatted output.
+        over the session's artifact store
+        (:class:`~repro.cache.store.StoreStats`, plus the store's
+        location, per-kind contents and last ``fsck`` report when one
+        ran), result replay and the supervised executor -- so CI jobs
+        and service probes can assert on counters instead of scraping
+        human-formatted output.
         """
         import dataclasses
 
         from ..cache.results import RESULT_CACHE_STATS
-        from ..cache.store import cache_enabled, get_store
+        from ..cache.store import get_store
         from ..simulator.runner import supervisor_stats
 
-        store = get_store()
+        context = self._context()
+        store = get_store(context.cache_dir)
         return {
             "store": {
                 "root": str(store.root),
                 "schema_version": store.version,
-                "enabled": cache_enabled(),
+                "enabled": context.cache,
                 "read_only": store.read_only(),
                 "total_bytes": store.total_size(),
                 "kinds": {kind: {"files": count, "bytes": size}
@@ -506,9 +476,8 @@ class Session:
         """Submit a spec (or a hand-built plan) for execution.
 
         Returns immediately with a :class:`RunHandle`; execution happens
-        on a background thread, concurrently with other submissions that
-        share the same cache/fault policy (conflicting policies take
-        turns through the process-wide execution gate).
+        on a background thread, concurrently with other submissions,
+        under the execution context resolved now.
         """
         if self._closed:
             raise RuntimeError("session is closed")
@@ -618,120 +587,89 @@ class Session:
 
     # -- executor -----------------------------------------------------------
     def _execute(self, handle: RunHandle) -> None:
+        self._exec_lock.enter()
+        try:
+            with use_context(handle._context):
+                self._run(handle)
+        finally:
+            self._exec_lock.leave()
+
+    def _run(self, handle: RunHandle) -> None:
         import time
 
         options = handle._options
-        # The policy scope is everything this execution would apply to
-        # the process-global configuration: session cache settings,
-        # per-call overrides, result-replay policy and chaos plan.
-        # Identical scopes share the gate (and hence run concurrently);
-        # conflicting scopes take turns.
-        scope = (self._cache_dir, self._cache, options.cache_dir,
-                 options.cache, options.result_cache, options.faults)
-
-        def apply() -> Optional[Callable[[], None]]:
-            # Runs once, for the first execution of the scope; the
-            # returned restore hook runs when the last one leaves, so a
-            # finishing sibling can never revert the store mid-run.
-            if all(value is None for value in scope):
-                return None
-            cache_snapshot = snapshot_configuration()
-            result_snapshot = snapshot_result_configuration()
-            faults_snapshot = snapshot_faults()
-            if self._cache_dir is not None or self._cache is not None:
-                configure(cache_dir=self._cache_dir, enabled=self._cache)
-            if options.cache_dir is not None or options.cache is not None:
-                configure(cache_dir=options.cache_dir,
-                          enabled=options.cache)
-            if options.result_cache is not None:
-                configure_result_cache(options.result_cache)
-            if options.faults is not None:
-                configure_faults(options.faults)
-
-            def restore() -> None:
-                restore_faults(faults_snapshot)
-                restore_result_configuration(result_snapshot)
-                restore_configuration(cache_snapshot)
-
-            return restore
-
-        self._exec_lock.enter_scope(scope, apply)
+        if handle._cancel.is_set():
+            handle._finish("cancelled")
+            return
+        if self._closed:
+            handle._error = RuntimeError(
+                "session closed before the run started")
+            handle._finish("failed")
+            return
+        handle._status = "running"
+        handle._emit("started")
+        tasks = handle._plan.tasks
+        results = [None] * len(tasks)
+        start = time.perf_counter()
+        hits = 0
+        result_hits = 0
+        retries = 0
         try:
-            if handle._cancel.is_set():
-                handle._finish("cancelled")
-                return
-            if self._closed:
-                handle._error = RuntimeError(
-                    "session closed before the run started")
-                handle._finish("failed")
-                return
-            handle._status = "running"
-            handle._emit("started")
-            tasks = handle._plan.tasks
-            results = [None] * len(tasks)
-            start = time.perf_counter()
-            hits = 0
-            result_hits = 0
-            retries = 0
-            try:
-                for completion in iter_task_results(
-                        tasks, jobs=handle._jobs, cancel=handle._cancel,
-                        task_timeout=options.task_timeout,
-                        max_retries=options.max_retries):
-                    results[completion.index] = completion.result
-                    hits += completion.cache_hits
-                    result_hits += completion.result_cache_hits
-                    retries += completion.retries
-                    handle._completed += 1
-                    elapsed = time.perf_counter() - start
-                    if elapsed > 0:
-                        rate = handle._completed / elapsed
-                        handle._tasks_per_second = rate
-                        handle._eta_seconds = \
-                            (handle._total - handle._completed) / rate
-                    task = tasks[completion.index]
-                    if completion.failed:
-                        failure = completion.result
-                        handle._emit(
-                            "task-failed",
-                            benchmark=failure.benchmark,
-                            key=failure.key,
-                            retries=completion.retries,
-                            error=f"{failure.kind}: {failure.message}",
-                            tasks_per_second=handle._tasks_per_second,
-                            eta_seconds=handle._eta_seconds,
-                        )
-                        continue
+            for completion in iter_task_results(
+                    tasks, jobs=handle._jobs, cancel=handle._cancel,
+                    task_timeout=options.task_timeout,
+                    max_retries=options.max_retries):
+                results[completion.index] = completion.result
+                hits += completion.cache_hits
+                result_hits += completion.result_cache_hits
+                retries += completion.retries
+                handle._completed += 1
+                elapsed = time.perf_counter() - start
+                if elapsed > 0:
+                    rate = handle._completed / elapsed
+                    handle._tasks_per_second = rate
+                    handle._eta_seconds = \
+                        (handle._total - handle._completed) / rate
+                task = tasks[completion.index]
+                if completion.failed:
+                    failure = completion.result
                     handle._emit(
-                        "task",
-                        benchmark=task.benchmark if hasattr(
-                            task, "benchmark") else task[1],
-                        key=getattr(task, "key", None),
-                        seconds=completion.seconds,
-                        cache_hits=completion.cache_hits,
-                        result_cache_hits=completion.result_cache_hits,
+                        "task-failed",
+                        benchmark=failure.benchmark,
+                        key=failure.key,
                         retries=completion.retries,
+                        error=f"{failure.kind}: {failure.message}",
                         tasks_per_second=handle._tasks_per_second,
                         eta_seconds=handle._eta_seconds,
                     )
-                if handle._cancel.is_set():
-                    handle._finish("cancelled")
-                    return
-                handle._eta_seconds = 0.0
-                handle._result = RunResult(
-                    tasks=list(tasks),
-                    results=results,
-                    elapsed_seconds=time.perf_counter() - start,
-                    cache_hits=hits,
-                    result_cache_hits=result_hits,
-                    task_retries=retries,
+                    continue
+                handle._emit(
+                    "task",
+                    benchmark=task.benchmark,
+                    key=getattr(task, "key", None),
+                    seconds=completion.seconds,
+                    cache_hits=completion.cache_hits,
+                    result_cache_hits=completion.result_cache_hits,
+                    retries=completion.retries,
+                    tasks_per_second=handle._tasks_per_second,
+                    eta_seconds=handle._eta_seconds,
                 )
-                handle._finish("done")
-            except BaseException as exc:   # surfaced via handle.result()
-                handle._error = exc
-                handle._finish("failed")
-        finally:
-            self._exec_lock.leave_scope()
+            if handle._cancel.is_set():
+                handle._finish("cancelled")
+                return
+            handle._eta_seconds = 0.0
+            handle._result = RunResult(
+                tasks=list(tasks),
+                results=results,
+                elapsed_seconds=time.perf_counter() - start,
+                cache_hits=hits,
+                result_cache_hits=result_hits,
+                task_retries=retries,
+            )
+            handle._finish("done")
+        except BaseException as exc:   # surfaced via handle.result()
+            handle._error = exc
+            handle._finish("failed")
 
 
 # ----------------------------------------------------------------------

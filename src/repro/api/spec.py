@@ -144,7 +144,9 @@ class ExecutionOptions:
     plans -- where outer parallelism has nothing to fan out -- and stays
     serial otherwise; ``1`` forces the serial walk).
     ``cache_dir``/``cache`` override the artifact-cache configuration
-    for this submission only (``None`` inherits the ambient setting).
+    for this submission only (``None`` inherits the session's, else the
+    ambient setting); like every policy field here they are resolved
+    once, at submit time, into the run's execution context.
     ``result_cache=False`` (the CLI's ``--no-result-cache``) forces full
     runs to resimulate instead of replaying persisted
     ``SimulationResult`` artifacts -- and sampled runs to re-measure

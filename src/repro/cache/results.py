@@ -17,9 +17,9 @@ a stronger policy than replaying intermediate artifacts (there is no
 simulation left to observe):
 
 * ``REPRO_RESULT_CACHE_DISABLE=1`` -- environment-level opt-out,
-* :func:`configure_result_cache` -- process-wide override (the CLI's
-  ``--no-result-cache``; ``repro.api.ExecutionOptions(result_cache=...)``
-  scopes it per submission),
+* :func:`configure_result_cache` -- process default (the run's execution
+  context carries its own: ``repro.api.ExecutionOptions(result_cache=...)``,
+  the CLI's ``--no-result-cache``),
 * disabling the artifact cache itself (``--no-cache``) disables result
   replay with it.
 
@@ -28,9 +28,9 @@ the workload identity (name + generator seed) and the resolved
 instruction budget; the store's ``SCHEMA_VERSION`` guards format
 evolution, and the store's universal digest frame (schema v4) rejects a
 torn or bit-rotted result file before it can replay as a wrong result.
-Hits/misses/stores are counted in :data:`RESULT_CACHE_STATS`
-so callers (``repro.api.RunHandle`` progress events, tests) can report
-result replays distinctly from ordinary artifact-store hits.
+Hits/misses/stores are counted in :data:`RESULT_CACHE_STATS`, and each
+hit in the running task's counter sink, so ``repro.api.RunHandle``
+progress events report result replays distinctly from store hits.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
+from ..context import count, current
 from .keys import content_key, stable_repr
 from .store import active_store
 
@@ -69,28 +70,21 @@ _override_enabled: Optional[bool] = None
 
 
 def configure_result_cache(enabled: Optional[bool]) -> None:
-    """Process-wide override; ``None`` lets the environment/default decide."""
+    """Process default; ``None`` lets the environment/default decide."""
     global _override_enabled
     _override_enabled = enabled
 
 
 def result_cache_enabled() -> bool:
     """Whether full-run results may be replayed instead of resimulated."""
+    context = current()
+    if context is not None:
+        return context.result_cache
     if _override_enabled is not None:
         return _override_enabled
     return os.environ.get(
         ENV_RESULT_CACHE_DISABLE, ""
     ).strip().lower() not in _TRUTHY
-
-
-def snapshot_result_configuration() -> Optional[bool]:
-    """The current override, for :func:`restore_result_configuration`."""
-    return _override_enabled
-
-
-def restore_result_configuration(snapshot: Optional[bool]) -> None:
-    global _override_enabled
-    _override_enabled = snapshot
 
 
 def reset_result_stats() -> None:
@@ -99,11 +93,6 @@ def reset_result_stats() -> None:
     RESULT_CACHE_STATS.misses = 0
     RESULT_CACHE_STATS.stores = 0
     RESULT_CACHE_STATS.invalid = 0
-
-
-def result_cache_hits() -> int:
-    """Current hit counter (the runner reports per-task deltas from it)."""
-    return RESULT_CACHE_STATS.hits
 
 
 def result_key(config, workload_name: str, workload_seed: int,
@@ -136,6 +125,7 @@ def load_cached_result(config, workload_name: str, workload_seed: int,
     if isinstance(loaded, SimulationResult) \
             and loaded.workload == workload_name:
         RESULT_CACHE_STATS.hits += 1
+        count(result_hits=1)
         return loaded
     if loaded is not None:
         # Unpickled fine but is not a plausible result for this key

@@ -32,12 +32,14 @@ the store those artifacts live in:
   and every ``.tmp`` file seen under the exclusive lock is provably
   orphaned.  Locking is best-effort: where ``fcntl`` is unavailable the
   store degrades to today's lockless behaviour.
-* **Configuration** -- the default root is ``.repro-cache/`` in the
-  working directory, overridable with ``REPRO_CACHE_DIR`` or
-  :func:`configure` (the CLI's ``--cache-dir``); caching is disabled
-  entirely with ``REPRO_CACHE_DISABLE=1`` or ``configure(enabled=False)``
-  (the CLI's ``--no-cache``), in which case :func:`active_store` returns
-  ``None`` and every caller falls back to plain recomputation.
+* **Configuration** -- a run's root and enable flag come from its
+  :class:`~repro.context.ExecutionContext` (the CLI's ``--cache-dir``/
+  ``--no-cache``); outside any context the default root is
+  ``.repro-cache/`` in the working directory, overridable with
+  ``REPRO_CACHE_DIR`` or :func:`configure`; caching is disabled
+  entirely with ``REPRO_CACHE_DISABLE=1`` or ``configure(enabled=False)``,
+  in which case :func:`active_store` returns ``None`` and every caller
+  falls back to plain recomputation.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .. import faults
+from ..context import count, current
 
 try:
     import fcntl
@@ -405,6 +408,7 @@ class ArtifactStore:
             self.discard(kind, key)
             return None
         self.stats.hits += 1
+        count(store_hits=1)
         # Refresh the mtime so it doubles as an LRU clock: `gc` evicts the
         # artifacts that have gone the longest without being read.  A gc
         # pass that raced this refresh re-stats before unlinking.
@@ -495,6 +499,7 @@ class ArtifactStore:
             # the schema version: drop it and recompute.
             self.stats.corrupt += 1
             self.stats.hits -= 1
+            count(store_hits=-1)
             self.stats.misses += 1
             self.discard(kind, key)
             return None
@@ -719,21 +724,20 @@ class ArtifactStore:
 
 
 # ----------------------------------------------------------------------
-# process-wide store resolution
+# store resolution: the installed context, else the process defaults
 # ----------------------------------------------------------------------
 _override_dir: Optional[str] = None
 _override_enabled: Optional[bool] = None
-_active: Optional[ArtifactStore] = None
+#: One store per root, so each root's counters outlive any one run.
+_STORES: Dict[Path, ArtifactStore] = {}
 
 
 def configure(cache_dir: Optional[str] = None,
               enabled: Optional[bool] = None) -> None:
-    """Set process-wide overrides (the CLI's ``--cache-dir``/``--no-cache``).
+    """Set the process defaults (used where no context is installed).
 
     ``None`` leaves the respective setting untouched (environment
-    variables and defaults keep deciding).  The live store -- and its
-    :class:`StoreStats` -- survives a re-configuration that keeps the
-    root; :func:`get_store` opens a new one when the root changes.
+    variables and defaults keep deciding).
     """
     global _override_dir, _override_enabled
     if cache_dir is not None:
@@ -743,43 +747,48 @@ def configure(cache_dir: Optional[str] = None,
 
 
 def snapshot_configuration() -> tuple:
-    """The current process-wide overrides, for :func:`restore_configuration`
-    (``repro.api.Session`` scopes its cache policy with these)."""
+    """The current process defaults, for :func:`restore_configuration`."""
     return _override_dir, _override_enabled
 
 
 def restore_configuration(snapshot: tuple) -> None:
-    """Reinstate overrides captured by :func:`snapshot_configuration`."""
+    """Reinstate defaults captured by :func:`snapshot_configuration`."""
     global _override_dir, _override_enabled
     _override_dir, _override_enabled = snapshot
 
 
 def reset_configuration() -> None:
-    """Drop every override (tests; environment/defaults apply again)."""
-    global _override_dir, _override_enabled, _active
+    """Drop every override and open store (tests; defaults apply again)."""
+    global _override_dir, _override_enabled
     _override_dir = None
     _override_enabled = None
-    _active = None
+    _STORES.clear()
 
 
 def cache_enabled() -> bool:
+    context = current()
+    if context is not None:
+        return context.cache
     if _override_enabled is not None:
         return _override_enabled
     return os.environ.get(ENV_CACHE_DISABLE, "").strip().lower() not in _TRUTHY
 
 
 def resolved_cache_dir() -> str:
+    context = current()
+    if context is not None:
+        return context.cache_dir
     return _override_dir or os.environ.get(ENV_CACHE_DIR) or DEFAULT_CACHE_DIR
 
 
-def get_store() -> ArtifactStore:
-    """The store at the currently-configured root (even when disabled --
-    ``cache path``/``cache clear`` still need to address it)."""
-    global _active
-    root = Path(resolved_cache_dir())
-    if _active is None or _active.root != root:
-        _active = ArtifactStore(root)
-    return _active
+def get_store(root: Optional[str] = None) -> ArtifactStore:
+    """The store at ``root``, by default the root in effect (even when
+    disabled -- ``cache path``/``cache clear`` still need to address it)."""
+    root = Path(root if root is not None else resolved_cache_dir())
+    store = _STORES.get(root)
+    if store is None:
+        store = _STORES.setdefault(root, ArtifactStore(root))
+    return store
 
 
 def active_store() -> Optional[ArtifactStore]:
@@ -790,14 +799,12 @@ def active_store() -> Optional[ArtifactStore]:
 
 @contextlib.contextmanager
 def temporary_cache_dir(path, enabled: bool = True):
-    """Context manager routing the process-wide store at ``path`` (tests
-    and the cold-vs-warm benchmark)."""
-    global _override_dir, _override_enabled, _active
-    saved = (_override_dir, _override_enabled, _active)
-    _override_dir = str(path)
-    _override_enabled = enabled
-    _active = None
+    """Context manager routing the process defaults at a fresh store at
+    ``path`` (tests and the cold-vs-warm benchmark)."""
+    saved = snapshot_configuration()
+    configure(cache_dir=path, enabled=enabled)
+    _STORES.pop(Path(path), None)
     try:
         yield get_store()
     finally:
-        _override_dir, _override_enabled, _active = saved
+        restore_configuration(saved)

@@ -541,20 +541,19 @@ def _cmd_serve(session: Session, args: argparse.Namespace) -> int:
     import contextlib
     import signal
 
-    from .cache.results import configure_result_cache
-    from .faults import configure_faults
+    from .context import ExecutionContext, use_context
     from .service.server import ExperimentServer
 
-    if args.faults:
-        try:
-            # Process-wide for the server's lifetime: serve is the one
-            # command where chaos must also cover the HTTP boundary
-            # (the request_drop site fires before any Session exists).
-            configure_faults(args.faults)
-        except ValueError as exc:
-            raise _CliError(str(exc)) from exc
-    if args.no_result_cache:
-        configure_result_cache(False)
+    try:
+        # The server's policy for its lifetime: the event loop (and so
+        # every request and every submission) runs under this context,
+        # so chaos also covers the HTTP boundary -- the request_drop
+        # site fires before any run exists.
+        policy = ExecutionContext.resolve(
+            faults=args.faults or None,
+            result_cache=False if args.no_result_cache else None)
+    except ValueError as exc:
+        raise _CliError(str(exc)) from exc
 
     async def run() -> int:
         server = ExperimentServer(
@@ -580,7 +579,8 @@ def _cmd_serve(session: Session, args: argparse.Namespace) -> int:
         return 0
 
     try:
-        return asyncio.run(run())
+        with use_context(policy):
+            return asyncio.run(run())
     except KeyboardInterrupt:   # signal handlers unavailable (rare)
         return 0
 

@@ -31,13 +31,13 @@ probability below 1.0 retries converge; a corrupted artifact's identity
 never changes, so it stays corrupted for the whole run and every read
 must degrade to recompute.
 
-Configuration mirrors the artifact cache: the ``REPRO_FAULTS``
-environment variable (e.g.
-``REPRO_FAULTS=worker_kill:0.1,artifact_corrupt:0.05,io_delay:20ms,seed:7``),
-a process-wide :func:`configure_faults` override (the CLI's ``--faults``;
-``ExecutionOptions(faults=...)`` scopes it per submission), and
-``_worker_init`` forwarding so pool workers inject the same plan as the
-parent.
+Configuration mirrors the artifact cache: a run injects the plan of its
+:class:`~repro.context.ExecutionContext` (``ExecutionOptions(faults=...)``,
+the CLI's ``--faults``), which travels with every pool chunk so workers
+inject the same plan as the parent.  Where no context is installed, the
+process default applies: :func:`configure_faults`, else the
+``REPRO_FAULTS`` environment variable (e.g.
+``REPRO_FAULTS=worker_kill:0.1,artifact_corrupt:0.05,io_delay:20ms,seed:7``).
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from .context import current
 #: Environment variable holding the ambient fault plan.
 ENV_FAULTS = "REPRO_FAULTS"
 
@@ -182,40 +183,27 @@ def resolve_plan(
 
 
 # ----------------------------------------------------------------------
-# process-wide plan resolution (mirrors cache/store configuration)
+# plan resolution: the installed context, else the process default
 # ----------------------------------------------------------------------
 _override_plan: Optional[FaultPlan] = None
-_env_cache: Optional[tuple] = None   # (raw env string, parsed plan)
 _IN_WORKER = False
 
 
 def configure_faults(plan: Union[FaultPlan, str, None]) -> None:
-    """Set the process-wide fault plan (``None`` = environment decides)."""
+    """Set the process default plan (``None`` = environment decides)."""
     global _override_plan
     _override_plan = resolve_plan(plan)
 
 
-def snapshot_faults() -> Optional[FaultPlan]:
-    """The current override, for :func:`restore_faults` (session scoping)."""
-    return _override_plan
-
-
-def restore_faults(snapshot: Optional[FaultPlan]) -> None:
-    global _override_plan
-    _override_plan = snapshot
-
-
 def active_plan() -> FaultPlan:
-    """The fault plan in effect (override first, then ``REPRO_FAULTS``)."""
-    global _env_cache
+    """The context's plan, else the process default, else ``REPRO_FAULTS``."""
+    context = current()
+    if context is not None:
+        return context.faults
     if _override_plan is not None:
         return _override_plan
     raw = os.environ.get(ENV_FAULTS, "")
-    if not raw.strip():
-        return NO_FAULTS
-    if _env_cache is None or _env_cache[0] != raw:
-        _env_cache = (raw, FaultPlan.parse(raw))
-    return _env_cache[1]
+    return FaultPlan.parse(raw) if raw.strip() else NO_FAULTS
 
 
 def mark_worker(value: bool = True) -> None:

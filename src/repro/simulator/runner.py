@@ -37,6 +37,11 @@ deadline (``task_timeout``); a task that exhausts either surfaces a
 typed :class:`~repro.simulator.plan.TaskFailure` in its result slot and
 the rest of the sweep completes normally.
 
+Every chunk carries the run's :class:`~repro.context.ExecutionContext`
+(store root, result-replay policy, fault plan), so one pool serves runs
+of different policies at once, and every task counts its store hits and
+result replays in its own sink.
+
 Workers and the parent all publish through the artifact store's
 advisory cross-process locking (see :mod:`repro.cache.store`), so many
 *runner processes* -- not just many workers of one runner -- may share
@@ -60,6 +65,7 @@ from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence,
 
 from .. import faults
 from .._lazy import lazy_exports
+from ..context import ExecutionContext, current, use_context
 from ..workloads.spec2000 import DEFAULT_MIX, SPECINT2000_NAMES, profile_for
 from .config import SimulationConfig
 from .plan import SegmentTask, SimTask, TaskFailure, TaskFailureError, TaskOutcome
@@ -284,7 +290,6 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 # ----------------------------------------------------------------------
 _POOL: Optional[multiprocessing.pool.Pool] = None
 _POOL_PROCESSES = 0
-_POOL_CACHE_STATE: Optional[tuple] = None
 #: Parent-side handle of the worker start-event queue (one per pool).
 _POOL_EVENTS = None
 #: Worker-side handle of the same queue, installed by ``_worker_init``.
@@ -293,9 +298,8 @@ _WORKER_EVENTS = None
 #: because ``_shared_pool`` may call ``shutdown_pool`` while holding it.
 _POOL_GUARD = threading.RLock()
 #: Supervisors currently fanned out over the shared pool.  A cancelled
-#: run only tears the pool down when it is the sole user -- with the
-#: execution gate admitting same-policy sessions concurrently, another
-#: supervisor's sweep may still be in flight on the same workers.
+#: run only tears the pool down when it is the sole user -- another
+#: session's sweep may still be in flight on the same workers.
 _POOL_USERS = 0
 
 #: chunk_id -> the dispatching supervisor's in-flight entry.  Worker
@@ -307,48 +311,26 @@ _PICKUP_LOCK = threading.Lock()
 _PICKUP_ENTRIES: Dict[int, dict] = {}
 
 
-def _worker_init(cache_dir: str, cache_on: bool, result_cache_on: bool,
-                 fault_plan=None, events=None) -> None:
-    """Apply the parent's resolved artifact-cache settings in a worker.
-
-    ``configure()``/``--no-cache`` state lives in module globals, which
-    spawn-start platforms do not inherit (and forked workers freeze at
-    fork time); passing the resolved values through the pool initializer
-    keeps every worker on the parent's store (and on the parent's
-    result-replay policy).  The active fault plan rides along for the
-    same reason -- chaos must inject identically in every worker -- and
-    ``events`` is the sentinel queue workers announce chunk pickups on.
-    """
-    from ..cache.results import configure_result_cache
-    from ..cache.store import configure
-
+def _worker_init(events) -> None:
+    """Mark the process as a pool worker and keep the sentinel queue it
+    announces chunk pickups on (the run's policy arrives with each
+    chunk, not here)."""
     global _WORKER_EVENTS
-    configure(cache_dir=cache_dir, enabled=cache_on)
-    configure_result_cache(result_cache_on)
-    faults.configure_faults(fault_plan)
     faults.mark_worker()
     _WORKER_EVENTS = events
 
 
 def _shared_pool(processes: int) -> multiprocessing.pool.Pool:
-    from ..cache.results import result_cache_enabled
-    from ..cache.store import cache_enabled, resolved_cache_dir
-
-    global _POOL, _POOL_PROCESSES, _POOL_CACHE_STATE, _POOL_EVENTS
+    global _POOL, _POOL_PROCESSES, _POOL_EVENTS
     with _POOL_GUARD:
-        cache_state = (resolved_cache_dir(), cache_enabled(),
-                       result_cache_enabled(), faults.active_plan())
-        if _POOL is not None and (_POOL_CACHE_STATE != cache_state
-                                  or (_POOL_PROCESSES != processes
-                                      and _POOL_USERS == 0)):
-            # A stale cache state always rebuilds (the execution gate
-            # serializes conflicting policy scopes, so the pool is idle
-            # then).  A size mismatch alone only rebuilds an *idle*
-            # pool: ``processes`` is just an upper bound
-            # (min(jobs, len(chunks)) differs per run), and tearing the
-            # pool down while a sibling is fanned out would kill its
-            # chunks mid-sweep -- its respawn would then kill ours in
-            # turn, ping-ponging until retry budgets burn out.
+        if _POOL is not None and _POOL_PROCESSES != processes \
+                and _POOL_USERS == 0:
+            # A size mismatch only rebuilds an *idle* pool:
+            # ``processes`` is just an upper bound (min(jobs,
+            # len(chunks)) differs per run), and tearing the pool down
+            # while a sibling is fanned out would kill its chunks
+            # mid-sweep -- its respawn would then kill ours in turn,
+            # ping-ponging until retry budgets burn out.
             shutdown_pool()
         if _POOL is None:
             # Workers fork from this process: load the simulator stack
@@ -361,10 +343,9 @@ def _shared_pool(processes: int) -> multiprocessing.pool.Pool:
             _POOL = multiprocessing.Pool(
                 processes=processes,
                 initializer=_worker_init,
-                initargs=cache_state + (_POOL_EVENTS,),
+                initargs=(_POOL_EVENTS,),
             )
             _POOL_PROCESSES = processes
-            _POOL_CACHE_STATE = cache_state
         return _POOL
 
 
@@ -377,14 +358,13 @@ def shutdown_pool() -> None:
     abandoned simulations take (the behaviour ``with Pool(...)`` used to
     provide via its ``__exit__``).
     """
-    global _POOL, _POOL_PROCESSES, _POOL_CACHE_STATE, _POOL_EVENTS
+    global _POOL, _POOL_PROCESSES, _POOL_EVENTS
     with _POOL_GUARD:
         if _POOL is not None:
             _POOL.terminate()
             _POOL.join()
             _POOL = None
             _POOL_PROCESSES = 0
-            _POOL_CACHE_STATE = None
         if _POOL_EVENTS is not None:
             _POOL_EVENTS.close()
             _POOL_EVENTS = None
@@ -409,45 +389,37 @@ def _task_weight(task: Task) -> int:
     return max(1, int(budget or 1))
 
 
-def _store_hits() -> int:
-    """Current artifact-store hit counter (0 when caching is disabled)."""
-    from ..cache.store import active_store
-
-    store = active_store()
-    return store.stats.hits if store is not None else 0
-
-
-def _result_hits() -> int:
-    """Current full-run result-cache hit counter (see repro.cache.results)."""
-    from ..cache.results import result_cache_hits
-
-    return result_cache_hits()
-
-
 def _timed_task(
     index: int, task: Task
 ) -> Tuple[int, SimulationResult, float, int, int]:
-    """Run one task, measuring wall-clock seconds, store hits and
-    full-run result replays (reported distinctly: a result replay skips
-    the simulation entirely, an ordinary store hit only skips rebuilding
-    one artifact)."""
-    hits_before = _store_hits()
-    result_hits_before = _result_hits()
+    """Run one task under its own counter sink, measuring wall-clock
+    seconds, store hits and full-run result replays (reported
+    distinctly: a result replay skips the simulation entirely, an
+    ordinary store hit only skips rebuilding one artifact)."""
+    outer = current()
+    context = (outer or ExecutionContext.resolve()).for_task()
     start = time.perf_counter()
-    result = _run_task(task)
+    with use_context(context):
+        result = _run_task(task)
+    counts = context.counters
+    if outer is not None:
+        # A nested task (a sampled run's inline segment) counts for the
+        # task it runs in, too.
+        outer.counters.store_hits += counts.store_hits
+        outer.counters.result_hits += counts.result_hits
     return (index, result, time.perf_counter() - start,
-            _store_hits() - hits_before,
-            _result_hits() - result_hits_before)
+            counts.store_hits, counts.result_hits)
 
 
 def _run_supervised_chunk(payload) -> tuple:
     """Pool worker: run one dispatched chunk of (index, attempt, task)
-    items and return per-task outcomes.
+    items under the run's execution context and return per-task
+    outcomes.
 
     All tasks of a chunk share one benchmark, so the worker builds (or
     loads from the artifact store) that benchmark's program, compiled
     trace, warm-up artifacts and sampling artifacts once and serves
-    every configuration from them.  Per-task timing and store-hit deltas
+    every configuration from them.  Per-task timing and store-hit counts
     ride along so progress consumers (:class:`repro.api.RunHandle`) can
     stream them without a second channel.
 
@@ -457,16 +429,18 @@ def _run_supervised_chunk(payload) -> tuple:
     A task that raises becomes an ``("err", ...)`` outcome rather than
     poisoning the chunk: its chunk-mates' finished work still returns.
     """
-    chunk_id, items = payload
+    chunk_id, context, items = payload
     if _WORKER_EVENTS is not None:
         _WORKER_EVENTS.put((chunk_id, os.getpid()))
-    faults.maybe_kill_worker(items[0][0], items[0][1])
     outcomes = []
-    for index, _attempt, task in items:
-        try:
-            outcomes.append(("ok", _timed_task(index, task)))
-        except Exception as exc:
-            outcomes.append(("err", index, f"{type(exc).__name__}: {exc}"))
+    with use_context(context):
+        faults.maybe_kill_worker(items[0][0], items[0][1])
+        for index, _attempt, task in items:
+            try:
+                outcomes.append(("ok", _timed_task(index, task)))
+            except Exception as exc:
+                outcomes.append(
+                    ("err", index, f"{type(exc).__name__}: {exc}"))
     return chunk_id, outcomes
 
 
@@ -577,7 +551,7 @@ def _plan_prefers_inline(
     """
     if os.environ.get("REPRO_NO_INLINE_FALLBACK"):
         return False
-    if faults.active_plan() is not faults.NO_FAULTS:
+    if faults.active_plan() != faults.NO_FAULTS:
         return False
     effective = _effective_parallelism(jobs)
     if effective <= 1:
@@ -602,7 +576,7 @@ class TaskCompletion:
     :class:`~repro.simulator.plan.TaskFailure` when the task exhausted
     its retry budget or deadline.  ``attempts`` counts dispatches
     (1 = first try succeeded); ``cache_hits``/``result_cache_hits`` are
-    the store-hit deltas attributable to this task.
+    the store hits and result replays this task's own sink counted.
     """
 
     index: int
@@ -741,6 +715,7 @@ def _run_supervised(tasks, jobs, cancel, task_timeout,
         chunks = _affine_chunks(tasks, jobs)
     global _POOL_USERS
     processes = min(jobs, len(chunks))
+    context = current() or ExecutionContext.resolve()
     with _POOL_GUARD:
         pool = _shared_pool(processes)
         _POOL_USERS += 1
@@ -769,7 +744,7 @@ def _run_supervised(tasks, jobs, cancel, task_timeout,
         for resubmission in (False, True):
             try:
                 pool.apply_async(_run_supervised_chunk,
-                                 ((chunk_id, payload),),
+                                 ((chunk_id, context, payload),),
                                  callback=on_done, error_callback=on_error)
                 break
             except Exception:
@@ -922,8 +897,8 @@ def _supervise(tasks, chunks, cancel, task_timeout, max_retries,
             with _POOL_GUARD:
                 if _POOL_USERS == 1:
                     # Sole user: kill outstanding chunks with the pool.
-                    # With concurrent same-policy supervisors the pool
-                    # stays up for the others; this run's chunks finish
+                    # With concurrent supervisors the pool stays up
+                    # for the others; this run's chunks finish
                     # as no-ops (completions are simply not consumed).
                     shutdown_pool()
             return

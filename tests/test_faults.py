@@ -17,6 +17,7 @@ import pytest
 from repro import faults
 from repro.cache import ArtifactStore, temporary_cache_dir
 from repro.cache.store import frame_digest, unframe_digest
+from repro.context import ExecutionContext, use_context
 from repro.faults import (
     NO_FAULTS,
     FaultPlan,
@@ -25,8 +26,6 @@ from repro.faults import (
     corrupt_artifact,
     maybe_kill_worker,
     resolve_plan,
-    restore_faults,
-    snapshot_faults,
 )
 from repro.simulator.config import SimulationConfig
 from repro.simulator.plan import (
@@ -135,10 +134,8 @@ class TestPlanResolution:
         assert active_plan().worker_kill == 0.3
 
     def test_snapshot_restore(self):
-        snapshot = snapshot_faults()
-        configure_faults("io_delay:5ms")
-        assert active_plan().io_delay == 0.005
-        restore_faults(snapshot)
+        with use_context(ExecutionContext.resolve(faults="io_delay:5ms")):
+            assert active_plan().io_delay == 0.005
         assert active_plan() == NO_FAULTS
 
 

@@ -18,7 +18,7 @@ import pytest
 from repro.api import ExecutionOptions, ExperimentSpec, Session
 from repro.cache import configure_result_cache
 from repro.cache.keys import content_key, stable_repr
-from repro.faults import configure_faults, restore_faults, snapshot_faults
+from repro.context import ExecutionContext, use_context
 from repro.sampling import SamplingSpec, get_selection
 from repro.sampling.checkpoint import CheckpointStore
 from repro.sampling.sampled import (
@@ -171,12 +171,11 @@ class TestParallelMatchesSerial:
         # the whole run to the serial walk.  Either way the result must
         # match the clean serial run bit for bit.
         serial = run_sampled("gcc", ALL_JUMPED)
-        snapshot = snapshot_faults()
+        chaos = ExecutionContext.resolve(faults="worker_kill:0.5,seed:3")
         try:
-            configure_faults("worker_kill:0.5,seed:3")
-            parallel = run_sampled("gcc", ALL_JUMPED, interval_jobs=2)
+            with use_context(chaos):
+                parallel = run_sampled("gcc", ALL_JUMPED, interval_jobs=2)
         finally:
-            restore_faults(snapshot)
             shutdown_pool()
         assert_identical(serial, parallel)
 

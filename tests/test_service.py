@@ -11,7 +11,7 @@ import pytest
 
 from repro.api import ExecutionOptions, ExperimentSpec, Session
 from repro.api.session import _ExecutionGate
-from repro.faults import configure_faults, restore_faults, snapshot_faults
+from repro.faults import configure_faults
 from repro.sampling import SamplingSpec
 from repro.service import (
     FairScheduler,
@@ -157,53 +157,71 @@ class TestFairScheduler:
 
 
 # ----------------------------------------------------------------------
-# execution gate (satellite: same-policy sessions run concurrently)
+# execution gate: runs of any policy overlap; close() drains them
 # ----------------------------------------------------------------------
 class TestExecutionGate:
-    def test_same_scope_entries_overlap(self):
-        gate = _ExecutionGate()
-        log = []
-        gate.enter_scope(("a",), lambda: log.append("apply") or
-                         (lambda: log.append("restore")))
-        entered = threading.Event()
+    def test_different_cache_dirs_run_concurrently(self, tmp_path):
+        """Each run carries its own execution context, so sessions on
+        different stores no longer take turns."""
+        spec = small_spec(benchmarks=("gcc", "perlbmk"), name="dirs-1")
+        first_root, second_root = tmp_path / "a", tmp_path / "b"
+        with Session(jobs=1, cache_dir=str(first_root)) as first_session, \
+                Session(jobs=1, cache_dir=str(second_root)) as second_session:
+            second_started = threading.Event()
+            overlaps = []
 
-        def second():
-            gate.enter_scope(("a",), lambda: log.append("apply-2"))
-            entered.set()
-            gate.leave_scope()
+            def first_listener(event):
+                if event.kind == "task":
+                    overlaps.append(second_started.wait(30))
 
-        thread = threading.Thread(target=second)
-        thread.start()
-        assert entered.wait(5), "identical scope should not serialize"
-        thread.join(5)
-        assert log == ["apply"]   # apply ran once, for the first entrant
-        gate.leave_scope()
-        assert log == ["apply", "restore"]   # last-out restores
+            # Hold both queued so they start together.
+            with first_session._exec_lock:
+                first = first_session.submit(spec)
+                first.add_listener(first_listener)
+                second = second_session.submit(
+                    small_spec(scheme="base+L0", name="dirs-2"))
 
-    def test_conflicting_scope_waits(self):
-        gate = _ExecutionGate()
-        gate.enter_scope(("a",), lambda: None)
-        entered = threading.Event()
+            def watch():
+                while second.status() == "queued":
+                    time.sleep(0.01)
+                second_started.set()
 
-        def second():
-            gate.enter_scope(("b",), lambda: None)
-            entered.set()
-            gate.leave_scope()
+            poller = threading.Thread(target=watch, daemon=True)
+            poller.start()
+            first.result()
+            second.result()
+            poller.join(5)
+        assert overlaps and all(overlaps), \
+            "a run on another store never started while the first ran"
 
-        thread = threading.Thread(target=second)
-        thread.start()
-        assert not entered.wait(0.3), "conflicting scopes must serialize"
-        gate.leave_scope()
-        assert entered.wait(5)
-        thread.join(5)
+    def test_each_run_writes_only_its_own_store(self, tmp_path):
+        from repro.cache.store import ArtifactStore
+
+        first_root, second_root = tmp_path / "a", tmp_path / "b"
+        with Session(jobs=1, cache_dir=str(first_root)) as first_session, \
+                Session(jobs=1, cache_dir=str(second_root)) as second_session:
+            with first_session._exec_lock:
+                first = first_session.submit(
+                    small_spec(benchmarks=("gcc",), name="own-1"))
+                second = second_session.submit(
+                    small_spec(benchmarks=("perlbmk",), name="own-2"))
+            first.result()
+            second.result()
+        results = {
+            root: {path.name for _kind, path in ArtifactStore(root).entries()
+                   if _kind == "result"}
+            for root in (first_root, second_root)}
+        # One full-run result per run, each in its own store only.
+        assert len(results[first_root]) == 1
+        assert len(results[second_root]) == 1
+        assert not results[first_root] & results[second_root]
 
     def test_exclusive_lock_blocks_entries(self):
         gate = _ExecutionGate()
         with gate:
             entered = threading.Event()
             thread = threading.Thread(
-                target=lambda: (gate.enter_scope(("a",), lambda: None),
-                                entered.set(), gate.leave_scope()))
+                target=lambda: (gate.enter(), entered.set(), gate.leave()))
             thread.start()
             assert not entered.wait(0.3)
         assert entered.wait(5)
@@ -211,10 +229,10 @@ class TestExecutionGate:
 
     def test_waiting_exclusive_blocks_new_scope_entrants(self):
         """Writer preference: a blocked exclusive acquirer (``close()``)
-        must not be starved by a steady stream of same-scope entrants --
-        they queue behind it instead of slipping in ahead."""
+        must not be starved by a steady stream of entrants -- they queue
+        behind it instead of slipping in ahead."""
         gate = _ExecutionGate()
-        gate.enter_scope(("a",), lambda: None)
+        gate.enter()
         acquired = threading.Event()
         entered = threading.Event()
 
@@ -229,30 +247,16 @@ class TestExecutionGate:
             time.sleep(0.01)
         assert gate._exclusive_waiting == 1
         entrant = threading.Thread(
-            target=lambda: (gate.enter_scope(("a",), lambda: None),
-                            entered.set(), gate.leave_scope()))
+            target=lambda: (gate.enter(), entered.set(), gate.leave()))
         entrant.start()
         assert not entered.wait(0.3), \
             "same-scope entrant must queue behind a waiting exclusive"
         assert not acquired.is_set()
-        gate.leave_scope()   # last active execution leaves
+        gate.leave()   # last active execution leaves
         assert acquired.wait(5), "exclusive acquirer starved"
         assert entered.wait(5), "entrant must proceed after the release"
         closer.join(5)
         entrant.join(5)
-        assert gate.idle()
-
-    def test_apply_failure_releases_scope(self):
-        gate = _ExecutionGate()
-
-        def broken():
-            raise RuntimeError("boom")
-
-        with pytest.raises(RuntimeError):
-            gate.enter_scope(("a",), broken)
-        # The gate must be reusable afterwards (conflicting scope too).
-        gate.enter_scope(("b",), lambda: None)
-        gate.leave_scope()
         assert gate.idle()
 
     def test_same_policy_submissions_run_concurrently(self, tmp_path):
@@ -590,10 +594,10 @@ class TestServiceEndToEnd:
 # ----------------------------------------------------------------------
 class TestServiceChaos:
     def test_request_drop_is_survived_by_retrying_client(self, tmp_path):
-        snapshot = snapshot_faults()
         try:
             # Only request_drop: the simulations themselves stay clean,
             # so the surviving response must equal the fault-free one.
+            # Process default: the server thread runs under no context.
             configure_faults("request_drop:0.4,seed:7")
             with service(tmp_path, parallel=2) as (thread, _session):
                 client = ServiceClient(port=thread.port,
@@ -603,7 +607,7 @@ class TestServiceChaos:
                 chaos_body = client.result_bytes(submitted["job"])
                 dropped = client.stats()["service"]["dropped_requests"]
         finally:
-            restore_faults(snapshot)
+            configure_faults(None)
         with service(tmp_path, parallel=2) as (thread, _session):
             client = ServiceClient(port=thread.port, client_id="calm")
             submitted = client.submit(spec)

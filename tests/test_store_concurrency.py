@@ -26,8 +26,8 @@ import time
 from pathlib import Path
 
 import repro
-from repro import faults
 from repro.cache.store import ArtifactStore, temporary_cache_dir
+from repro.context import ExecutionContext, use_context
 from repro.simulator.testing import make_sim_config
 
 _SRC = str(Path(repro.__file__).parents[1])
@@ -97,15 +97,12 @@ class TestCrossProcessRaces:
 
         config = make_sim_config(engine="fdp", max_instructions=1500)
         with temporary_cache_dir(tmp_path / "cache") as disk:
-            saved = faults.snapshot_faults()
-            faults.configure_faults("write_crash:1.0,seed:5")
-            try:
+            chaos = ExecutionContext.resolve(faults="write_crash:1.0,seed:5")
+            with use_context(chaos):
                 clear_process_caches()
                 first = _execute_single(config, "gzip", 1500)
                 clear_process_caches()
                 second = _execute_single(config, "gzip", 1500)
-            finally:
-                faults.restore_faults(saved)
             assert first == second
             assert disk.stats.crashed_writes > 0
             assert disk.stats.stores == 0

@@ -1,10 +1,10 @@
 """Artifact-store counters accumulate across executions on one root.
 
-Every :class:`~repro.api.Session` execution re-applies its cache policy
-(``configure`` on entry, ``restore_configuration`` on exit).  Neither
-may drop the live :class:`~repro.cache.store.ArtifactStore` while the
-root stays the same, or ``cache_counters()["store"]`` -- and the
-service's ``/v1/stats`` -- restart from zero on every run.
+Every :class:`~repro.api.Session` execution runs under its own
+execution context, and the process defaults can be reconfigured at any
+time.  Neither may drop the live :class:`~repro.cache.store.ArtifactStore`
+of a root, or ``cache_counters()["store"]`` -- and the service's
+``/v1/stats`` -- restart from zero on every run.
 """
 
 from __future__ import annotations
